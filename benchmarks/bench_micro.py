@@ -8,7 +8,8 @@ four operations that dominate a simulation's profile.
 at the repo root: the steady-state per-round cost of the linked-ring
 incremental pipeline vs full rescans on contour-dominated (ring) and
 blob instances, so the performance trajectory stays machine-readable
-across PRs.
+across PRs.  ``test_sweep_dispatch_report`` writes ``BENCH_sweep.json``:
+the sweep orchestrator's pool-reuse win.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ CFG = AlgorithmConfig()
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BENCH_RING_PATH = os.path.join(_REPO_ROOT, "BENCH_ring.json")
-BENCH_SHARD_PATH = os.path.join(_REPO_ROOT, "BENCH_shard.json")
+BENCH_SWEEP_PATH = os.path.join(_REPO_ROOT, "BENCH_sweep.json")
 INCREMENTAL_DOC_PATH = os.path.join(_REPO_ROOT, "docs", "incremental.md")
 EXECUTORS_DOC_PATH = os.path.join(_REPO_ROOT, "docs", "executors.md")
 
@@ -67,25 +68,10 @@ DOC_TABLE_BEGIN = (
 )
 DOC_TABLE_END = "<!-- bench-ring-table:end -->"
 
-SHARD_TABLE_BEGIN = (
-    "<!-- bench-shard-table:begin (generated by bench_micro.py) -->"
+SWEEP_LINE_BEGIN = (
+    "<!-- bench-sweep:begin (generated by bench_micro.py) -->"
 )
-SHARD_TABLE_END = "<!-- bench-shard-table:end -->"
-
-#: Instances recorded in ``BENCH_shard.json``: planning-dominated shapes
-#: where per-round run planning (not merge matching) is the hot path, so
-#: executor backends have something to parallelize.  ``solid_3600`` is
-#: the headline instance from the scale-out work; the ring carries the
-#: runner-dense contour regime.
-BENCH_SHARD_INSTANCES = (
-    ("solid_3600", lambda: solid_rectangle(60, 60), 2, 30),
-    ("ring_508", lambda: ring(128), 10, 60),
-)
-
-#: Worker count used for every sharded measurement (recorded in the
-#: report).  At least 2 so the process backend's snapshot publish /
-#: shard fan-out is actually exercised even on single-core runners.
-SHARD_BENCH_WORKERS = max(2, min(4, os.cpu_count() or 1))
+SWEEP_LINE_END = "<!-- bench-sweep:end -->"
 
 
 def measure_steady_state() -> dict:
@@ -121,23 +107,32 @@ def render_markdown_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _refresh_generated(
+    doc_path: str, begin_marker: str, end_marker: str, body: str
+) -> bool:
+    """Replace the generated text between two markers in a doc; returns
+    False when the markers are absent (the doc then simply keeps its
+    last text)."""
+    with open(doc_path) as fh:
+        text = fh.read()
+    begin = text.find(begin_marker)
+    end = text.find(end_marker)
+    if begin < 0 or end < 0 or end < begin:
+        return False
+    head = text[: begin + len(begin_marker)]
+    tail = text[end:]
+    with open(doc_path, "w") as fh:
+        fh.write(head + "\n" + body + "\n" + tail)
+    return True
+
+
 def refresh_doc_table(
     report: dict, doc_path: str = INCREMENTAL_DOC_PATH
 ) -> bool:
-    """Replace the generated table between the markers in
-    ``docs/incremental.md``; returns False when the markers are absent
-    (the doc then simply keeps its last table)."""
-    with open(doc_path) as fh:
-        text = fh.read()
-    begin = text.find(DOC_TABLE_BEGIN)
-    end = text.find(DOC_TABLE_END)
-    if begin < 0 or end < 0 or end < begin:
-        return False
-    head = text[: begin + len(DOC_TABLE_BEGIN)]
-    tail = text[end:]
-    with open(doc_path, "w") as fh:
-        fh.write(head + "\n" + render_markdown_table(report) + "\n" + tail)
-    return True
+    """Refresh the generated table in ``docs/incremental.md``."""
+    return _refresh_generated(
+        doc_path, DOC_TABLE_BEGIN, DOC_TABLE_END, render_markdown_table(report)
+    )
 
 
 @pytest.mark.parametrize(
@@ -230,35 +225,6 @@ def test_steady_state_round_ring(benchmark, incremental):
     )
 
 
-@pytest.mark.parametrize("shard", [False, True], ids=["serial", "sharded"])
-def test_steady_state_round_ring_sharded(benchmark, shard):
-    """Sharded vs serial run planning on a runner-dense contour.
-
-    Trajectories are bit-identical (the equivalence suite asserts it);
-    this records the wall-clock delta of the thread-pool shards — a real
-    win only on GIL-free interpreters, so the default stays serial."""
-    cells = ring(128)
-    cfg = AlgorithmConfig(shard_planning=shard)
-    engines = []
-
-    def setup():
-        while engines:  # release the previous round's shard pool
-            engines.pop().close()
-        engine = FsyncEngine(
-            SwarmState(cells), GatherOnGrid(cfg), check_connectivity=False
-        )
-        engines.append(engine)
-        for _ in range(10):
-            engine.step()
-        return (engine,), {}
-
-    benchmark.pedantic(
-        lambda engine: engine.step(), setup=setup, rounds=10, iterations=1
-    )
-    while engines:
-        engines.pop().close()
-
-
 def _steady_state_ms(cells, incremental, *, warm, rounds):
     engine = FsyncEngine(
         SwarmState(cells),
@@ -304,31 +270,6 @@ def test_ring_resplice_speedup(benchmark):
     assert max(ring_speedups) >= 2.0, report
 
 
-def _backend_ms(cells, backend, *, warm, rounds):
-    """Steady-state ms/round with a given planning backend (``"serial"``
-    disables sharding entirely)."""
-    if backend == "serial":
-        cfg = AlgorithmConfig()
-    else:
-        cfg = AlgorithmConfig(
-            shard_planning=True,
-            shard_backend=backend,
-            shard_workers=SHARD_BENCH_WORKERS,
-        )
-    engine = FsyncEngine(
-        SwarmState(cells), GatherOnGrid(cfg), check_connectivity=False
-    )
-    try:
-        for _ in range(warm):
-            engine.step()
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            engine.step()
-        return (time.perf_counter() - t0) / rounds * 1000
-    finally:
-        engine.close()
-
-
 def measure_sweep_dispatch(batches: int = 4, jobs_per_batch: int = 4):
     """Pool-reuse benefit: the same sweep batches dispatched through a
     fresh :class:`SweepOrchestrator` (worker spawn per batch, the old
@@ -363,108 +304,43 @@ def measure_sweep_dispatch(batches: int = 4, jobs_per_batch: int = 4):
     }
 
 
-def measure_shard_backends() -> dict:
-    """Measure every instance of :data:`BENCH_SHARD_INSTANCES` under
-    serial, thread, and process planning, plus the sweep-dispatch
-    pool-reuse numbers.  ``cpu_count`` rides in the report so checkers
-    know whether process-beats-serial is even possible on this box."""
+def render_sweep_line(report: dict) -> str:
+    sweep = report["sweep_dispatch"]
+    return (
+        f"Sweep dispatch ({sweep['batches']} batches x "
+        f"{sweep['jobs_per_batch']} jobs, cpu_count={report['cpu_count']}): "
+        f"fresh pool per batch {sweep['fresh_pool_s']:.2f} s, persistent "
+        f"pool {sweep['persistent_pool_s']:.2f} s "
+        f"({sweep['reuse_speedup']:.2f}x from pool reuse)."
+    )
+
+
+def test_sweep_dispatch_report(benchmark):
+    """Record the sweep pool-reuse numbers in ``BENCH_sweep.json``
+    (checked by ``tools/bench_check.py --sweep`` in CI).
+    ``BENCH_SWEEP_OUT`` redirects the JSON for fresh CI measurements;
+    the ``docs/executors.md`` line refresh only happens for default
+    (committed-path) runs.  The floor lives in the checker; this test
+    only pins a very loose sanity bound (spawning workers per batch can
+    never be faster than reusing them by more than noise).
+    """
     report = {
         "cpu_count": os.cpu_count() or 1,
-        "shard_workers": SHARD_BENCH_WORKERS,
-        "instances": {},
+        "sweep_dispatch": measure_sweep_dispatch(),
     }
-    for name, make, warm, rounds in BENCH_SHARD_INSTANCES:
-        cells = make()
-        serial = _backend_ms(cells, "serial", warm=warm, rounds=rounds)
-        entry = {
-            "n": len(cells),
-            "serial_ms_per_round": round(serial, 4),
-        }
-        for backend in ("thread", "process"):
-            ms = _backend_ms(cells, backend, warm=warm, rounds=rounds)
-            entry[f"{backend}_ms_per_round"] = round(ms, 4)
-            entry[f"{backend}_speedup"] = round(serial / ms, 2)
-        report["instances"][name] = entry
-    report["sweep_dispatch"] = measure_sweep_dispatch()
-    return report
-
-
-def render_shard_table(report: dict) -> str:
-    lines = [
-        f"Measured with cpu_count={report['cpu_count']}, "
-        f"shard_workers={report['shard_workers']}:",
-        "",
-        "| instance   |    n |   serial |   thread |  process "
-        "| thread speedup | process speedup |",
-        "|------------|-----:|---------:|---------:|---------:"
-        "|---------------:|----------------:|",
-    ]
-    for name, v in sorted(report["instances"].items()):
-        lines.append(
-            f"| {name:<10} | {v['n']:>4} | "
-            f"{v['serial_ms_per_round']:>5.2f} ms | "
-            f"{v['thread_ms_per_round']:>5.2f} ms | "
-            f"{v['process_ms_per_round']:>5.2f} ms | "
-            f"{v['thread_speedup']:>13.2f}x | "
-            f"{v['process_speedup']:>14.2f}x |"
-        )
-    sweep = report["sweep_dispatch"]
-    lines += [
-        "",
-        f"Sweep dispatch ({sweep['batches']} batches x "
-        f"{sweep['jobs_per_batch']} jobs): fresh pool per batch "
-        f"{sweep['fresh_pool_s']:.2f} s, persistent pool "
-        f"{sweep['persistent_pool_s']:.2f} s "
-        f"({sweep['reuse_speedup']:.2f}x from pool reuse).",
-    ]
-    return "\n".join(lines)
-
-
-def refresh_shard_doc_table(
-    report: dict, doc_path: str = EXECUTORS_DOC_PATH
-) -> bool:
-    """Same contract as :func:`refresh_doc_table`, for the executor
-    backend table in ``docs/executors.md``."""
-    with open(doc_path) as fh:
-        text = fh.read()
-    begin = text.find(SHARD_TABLE_BEGIN)
-    end = text.find(SHARD_TABLE_END)
-    if begin < 0 or end < 0 or end < begin:
-        return False
-    head = text[: begin + len(SHARD_TABLE_BEGIN)]
-    tail = text[end:]
-    with open(doc_path, "w") as fh:
-        fh.write(head + "\n" + render_shard_table(report) + "\n" + tail)
-    return True
-
-
-def test_shard_backend_report(benchmark):
-    """Record executor-backend round costs and sweep pool-reuse numbers
-    in ``BENCH_shard.json`` (checked by ``tools/bench_check.py --shard``
-    in CI).  ``BENCH_SHARD_OUT`` redirects the JSON for fresh CI
-    measurements; the ``docs/executors.md`` table refresh only happens
-    for default (committed-path) runs.
-
-    Floors live in the checker, scaled by the measuring machine's
-    ``cpu_count`` — on a single-core runner process-beats-serial is
-    physically impossible (the snapshot publish is pure overhead), so
-    this test only pins structure plus a very loose pool-reuse sanity
-    bound (spawning workers per batch can never be faster than reusing
-    them by more than noise).
-    """
-    report = measure_shard_backends()
-    out_path = os.environ.get("BENCH_SHARD_OUT", BENCH_SHARD_PATH)
+    out_path = os.environ.get("BENCH_SWEEP_OUT", BENCH_SWEEP_PATH)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    if out_path == BENCH_SHARD_PATH:
-        refresh_shard_doc_table(report)
-    benchmark.extra_info["bench_shard"] = report
+    if out_path == BENCH_SWEEP_PATH:
+        _refresh_generated(
+            EXECUTORS_DOC_PATH,
+            SWEEP_LINE_BEGIN,
+            SWEEP_LINE_END,
+            render_sweep_line(report),
+        )
+    benchmark.extra_info["bench_sweep"] = report
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for name, entry in report["instances"].items():
-        assert entry["serial_ms_per_round"] > 0, (name, report)
-        assert entry["thread_speedup"] > 0, (name, report)
-        assert entry["process_speedup"] > 0, (name, report)
     assert report["sweep_dispatch"]["reuse_speedup"] >= 0.8, report
 
 

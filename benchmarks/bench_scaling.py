@@ -17,7 +17,6 @@ from repro.analysis.experiments import run_scaling
 from repro.analysis.fitting import fit_linear, scaling_exponent
 from repro.analysis.tables import format_table
 from repro.api import simulate
-from repro.core.config import AlgorithmConfig
 from repro.swarms.generators import family, line
 
 #: Worker processes for the sweeps: REPRO_JOBS=0 means one per CPU,
@@ -26,29 +25,6 @@ from repro.swarms.generators import family, line
 JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 WORKERS = None if JOBS == 1 else JOBS
 
-
-def _env_flag(name: str) -> bool:
-    """Parse a boolean environment knob, failing loudly on junk (same
-    clean-failure style as the CLI: name the knob and the valid
-    spellings instead of tracebacking deep in a sweep)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(
-        f"{name} must be one of 1/0/true/false/yes/no/on/off, got {raw!r}"
-    )
-
-
-#: REPRO_SHARD=1 plans run reshapements in parallel shards
-#: (cfg.shard_planning) across the sweep — bit-identical trajectories,
-#: exercised here so scaling runs cover the sharded planner.
-SHARD = _env_flag("REPRO_SHARD")
-SWEEP_CFG = AlgorithmConfig(shard_planning=True) if SHARD else None
 
 # family -> sweep sizes (kept modest so the suite runs in minutes)
 SWEEPS = {
@@ -76,7 +52,6 @@ def test_e1_rounds_scale_linearly(benchmark, family_name):
     points = run_scaling(
         family_name,
         sizes,
-        SWEEP_CFG,
         check_connectivity=False,
         workers=WORKERS,
     )

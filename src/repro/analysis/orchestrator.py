@@ -112,7 +112,6 @@ class SweepOrchestrator:
                 self._workers,
                 on_event=self._on_event,
                 task_timeout=self._task_timeout,
-                daemon=False,  # sweep jobs may nest planning pools
             )
         return self._pool_obj
 
@@ -424,7 +423,7 @@ def _job_from_dict(data: dict) -> SweepJob:
         family=data["family"],
         n=int(data["n"]),
         seed=data.get("seed"),
-        cfg=None if cfg is None else AlgorithmConfig(**cfg),
+        cfg=None if cfg is None else AlgorithmConfig.from_dict(cfg),
         check_connectivity=bool(data.get("check_connectivity", True)),
         max_rounds=data.get("max_rounds"),
         strategy=data.get("strategy", "grid"),
@@ -648,8 +647,7 @@ def _run_grid_job_checkpointed(
         if mode == "a":
             recorder._wrote_header = True  # resuming an existing trace
         engine.on_round = recorder
-        with engine:
-            result = engine.run(max_rounds=budget)
+        result = engine.run(max_rounds=budget)
     return ScalingPoint(
         family=job.family,
         n=n0,

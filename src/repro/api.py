@@ -78,7 +78,7 @@ from repro.engine.protocols import (
     SteppedProgram,
     Strategy,
 )
-from repro.engine.scheduler import FsyncEngine, close_controller
+from repro.engine.scheduler import FsyncEngine
 from repro.engine.ssync_scheduler import (
     ActivationSchedule,
     SsyncEngine,
@@ -220,10 +220,7 @@ class FsyncScheduler:
             track_boundary=ctx.track_boundary,
             on_round=ctx.on_round,
         )
-        try:
-            res = engine.run(max_rounds=ctx.max_rounds)
-        finally:
-            close_controller(program.controller)
+        res = engine.run(max_rounds=ctx.max_rounds)
         extras = dict(program.extras_fn()) if program.extras_fn else {}
         return RunResult(
             strategy="",
@@ -258,10 +255,7 @@ class AsyncScheduler:
             check_connectivity=program.check_connectivity,
             on_round=ctx.on_round,
         )
-        try:
-            res = engine.run(max_rounds=ctx.max_rounds)
-        finally:
-            close_controller(program.controller)
+        res = engine.run(max_rounds=ctx.max_rounds)
         return RunResult(
             strategy="",
             scheduler=self.key,
@@ -396,10 +390,7 @@ class _SsyncSchedulerBase:
                 track_boundary=ctx.track_boundary,
                 on_round=ctx.on_round,
             )
-            try:
-                res = engine.run(max_rounds=ctx.max_rounds)
-            finally:
-                close_controller(program.controller)
+            res = engine.run(max_rounds=ctx.max_rounds)
             extras_fn = getattr(program, "extras_fn", None)
             return RunResult(
                 strategy="",
@@ -513,10 +504,7 @@ class AsyncLcmScheduler(_SsyncSchedulerBase):
                 track_boundary=ctx.track_boundary,
                 on_round=ctx.on_round,
             )
-            try:
-                res = engine.run(max_rounds=ctx.max_rounds)
-            finally:
-                close_controller(program.controller)
+            res = engine.run(max_rounds=ctx.max_rounds)
             extras_fn = getattr(program, "extras_fn", None)
             return RunResult(
                 strategy="",

@@ -54,7 +54,6 @@ from repro.analysis.tables import format_table
 from repro.api import SCHEDULERS, STRATEGIES, simulate
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.engine.executors import PLAN_BACKENDS, ExecutorUnavailable
 from repro.engine.protocols import Scenario, SimContext
 from repro.swarms.generators import FAMILIES
 from repro.viz.ascii_art import render_with_marks
@@ -166,35 +165,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the incremental per-round pipeline (A/B baseline)",
     )
-    p.add_argument(
-        "--shard-planning",
-        action="store_true",
-        help="plan run reshapements in parallel shards (bit-identical "
-        "trajectories; a speedup only on GIL-free interpreters)",
-    )
-    p.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        help="worker threads for --shard-planning (default: min(4, CPUs))",
-    )
-    p.add_argument(
-        "--shard-backend",
-        default=None,
-        choices=list(PLAN_BACKENDS),
-        help="executor behind --shard-planning (default: thread; "
-        "'process' = persistent workers over shared-memory round "
-        "snapshots, 'subinterp' needs Python 3.14+)",
-    )
 
 
 #: Exceptions the facade raises for bad strategy/scheduler/flag
 #: combinations — argparse validates each flag alone, the facade the
 #: combination.  TypeError covers scheduler-option mismatches (e.g.
 #: ``--fault-rate`` with ``--scheduler fsync``), whose message names the
-#: valid registry keys; ExecutorUnavailable covers a ``--shard-backend``
-#: this interpreter cannot run (its message names the alternatives).
-_USAGE_ERRORS = (KeyError, ValueError, TypeError, ExecutorUnavailable)
+#: valid registry keys.
+_USAGE_ERRORS = (KeyError, ValueError, TypeError)
 
 
 def _fail(exc: BaseException) -> int:
@@ -239,24 +217,6 @@ def _config(args: argparse.Namespace) -> AlgorithmConfig:
         kwargs["run_start_interval"] = args.interval
     if getattr(args, "full_scan", False):
         kwargs["incremental"] = False
-    if getattr(args, "shard_planning", False):
-        kwargs["shard_planning"] = True
-    shard_workers = getattr(args, "shard_workers", None)
-    if shard_workers is not None:
-        if not getattr(args, "shard_planning", False):
-            raise ValueError(
-                "--shard-workers requires --shard-planning (the worker "
-                "count only applies to the sharded planner)"
-            )
-        kwargs["shard_workers"] = shard_workers
-    shard_backend = getattr(args, "shard_backend", None)
-    if shard_backend is not None:
-        if not getattr(args, "shard_planning", False):
-            raise ValueError(
-                "--shard-backend requires --shard-planning (the "
-                "backend selects the sharded planner's executor)"
-            )
-        kwargs["shard_backend"] = shard_backend
     radius = getattr(args, "radius", None)
     if radius is not None:
         return AlgorithmConfig.with_radius(radius, **kwargs)

@@ -24,10 +24,6 @@ from repro.core.patterns import plan_merges
 from repro.core.quasiline import run_start_sites
 from repro.core.runs import RunManager
 from repro.engine.events import EventLog
-from repro.engine.executors import (
-    default_plan_workers,
-    make_plan_executor,
-)
 from repro.engine.scheduler import GatherResult
 from repro.grid.geometry import Cell
 from repro.grid.occupancy import SwarmState
@@ -45,69 +41,11 @@ class GatherOnGrid:
         self._pipeline = (
             IncrementalPipeline(self.cfg) if self.cfg.incremental else None
         )
-        self._shard_pool = None
-        self._plan_round_index = 0
 
     # Instrumentation read by the engine's metrics.
     @property
     def active_run_count(self) -> int:
         return self.run_manager.active_run_count
-
-    # ------------------------------------------------------------------
-    def _shard_executor(self):
-        """The lazily created planning executor (``cfg.shard_planning``,
-        backend per ``cfg.shard_backend``).
-
-        The partition/reduce in :meth:`RunManager.plan` is
-        executor-agnostic: the thread backend plugs in through the
-        order-preserving ``map`` contract, the process/subinterpreter
-        backends through ``snapshot_map`` (shared-memory round
-        snapshots, :mod:`repro.engine.executors`).  Worker lifecycle
-        telemetry (``worker_failed`` / ``worker_respawned``) lands in
-        this controller's event log — diagnostics only, excluded from
-        trajectory digests like ``boundary_respliced``.
-        """
-        if self._shard_pool is None:
-            self._shard_pool = make_plan_executor(
-                self.cfg.shard_backend,
-                default_plan_workers(self.cfg.shard_workers),
-                on_event=self._emit_worker_event,
-            )
-        return self._shard_pool
-
-    def _emit_worker_event(self, kind: str, **data) -> None:
-        """Forward executor lifecycle telemetry into the round-ordered
-        log.  The pool emits exactly the two kinds below; narrowing to
-        literals keeps the event schema statically checkable against
-        the docs (reprolint E1)."""
-        if kind == "worker_failed":
-            self.events.emit(
-                self._plan_round_index, "worker_failed", **data
-            )
-        elif kind == "worker_respawned":
-            self.events.emit(
-                self._plan_round_index, "worker_respawned", **data
-            )
-        else:
-            raise ValueError(f"unknown worker event kind {kind!r}")
-
-    def close(self) -> None:
-        """Release the shard executor (engines call this after a run;
-        safe to call repeatedly, and a closed controller can plan again
-        — the executor is recreated on demand)."""
-        if self._shard_pool is not None:
-            pool = self._shard_pool
-            self._shard_pool = None
-            pool.close()
-
-    def __enter__(self) -> "GatherOnGrid":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        """Context-manager exit: the executor is released even when a
-        round raises (the lifecycle regression tests pin this)."""
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     def plan_round(
@@ -116,8 +54,6 @@ class GatherOnGrid:
         cfg = self.cfg
         occupied = state.cells
         pipeline = self._pipeline
-        # Round anchor for executor lifecycle events emitted mid-plan.
-        self._plan_round_index = round_index
 
         # Step 1: merge operations (state-free).
         if pipeline is not None:
@@ -179,17 +115,9 @@ class GatherOnGrid:
             if started:
                 located, lost = self.run_manager.locate(contours)
 
-        # Step 2: run operations (optionally planned in parallel shards).
+        # Step 2: run operations.
         run_moves = self.run_manager.plan(
-            contours,
-            occupied,
-            merge_moves,
-            located,
-            lost,
-            round_index,
-            executor=(
-                self._shard_executor() if cfg.shard_planning else None
-            ),
+            contours, occupied, merge_moves, located, lost, round_index
         )
         for robot, target in run_moves.items():
             self.events.emit(

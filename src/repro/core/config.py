@@ -8,12 +8,21 @@ experiments E5-E7 of DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.constants import (
     MAX_BUMP_LENGTH,
     RUN_PASSING_DISTANCE,
     RUN_START_INTERVAL,
     VIEWING_RADIUS,
+)
+
+#: The three fields of the removed sharded-planning feature
+#: (``shard_`` + planning/workers/backend).  Specs persisted while it
+#: existed still carry them; :meth:`AlgorithmConfig.from_dict` drops
+#: them on load.
+_RETIRED_FIELDS = frozenset(
+    "shard_" + name for name in ("planning", "workers", "backend")
 )
 
 
@@ -67,28 +76,17 @@ class AlgorithmConfig:
     #: escape hatch.
     incremental: bool = True
 
-    #: Plan the per-run reshapement work in parallel shards (contiguous
-    #: groups of runs partitioned by contour).  Per-run planning is a
-    #: pure function of the round's shared read-only context, so any
-    #: partition is sound and results are reduced deterministically in
-    #: run-id order — trajectories are bit-identical with this on or off
-    #: (the equivalence suite asserts it).  Off by default: the stock
-    #: executor is a thread pool, which only pays off on
-    #: GIL-free interpreters or with very large per-contour run counts.
-    shard_planning: bool = False
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "AlgorithmConfig":
+        """Rebuild a config from its ``dataclasses.asdict`` form.
 
-    #: Worker count for sharded planning; 0 picks ``min(4, cpu_count)``.
-    shard_workers: int = 0
-
-    #: Executor backend for sharded planning (``shard_planning``):
-    #: ``"thread"`` (stock pool; a speedup only on GIL-free
-    #: interpreters), ``"process"`` (persistent worker processes fed a
-    #: shared-memory round snapshot — real multi-core planning), or
-    #: ``"subinterp"`` (per-interpreter workers, requires an interpreter
-    #: with ``concurrent.futures.InterpreterPoolExecutor``).  All
-    #: backends are bit-identical to serial planning (the equivalence
-    #: suite asserts it); the choice is purely a performance knob.
-    shard_backend: str = "thread"
+        Persisted specs (sweep stores, service run records) written
+        before sharded planning was removed carry its three retired
+        keys; they are dropped here.  Any other unknown key still raises
+        ``TypeError``.
+        """
+        kwargs = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+        return cls(**kwargs)
 
     @classmethod
     def with_radius(cls, viewing_radius: int, **overrides) -> "AlgorithmConfig":
@@ -124,12 +122,3 @@ class AlgorithmConfig:
             )
         if self.start_straight_steps < 1:
             raise ValueError("start_straight_steps must be >= 1")
-        if self.shard_workers < 0:
-            raise ValueError(
-                "shard_workers must be >= 0 (0 = auto: min(4, cpu_count))"
-            )
-        if self.shard_backend not in ("thread", "process", "subinterp"):
-            raise ValueError(
-                f"shard_backend must be one of 'thread', 'process', "
-                f"'subinterp', got {self.shard_backend!r}"
-            )

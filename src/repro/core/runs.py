@@ -377,22 +377,17 @@ class RunManager:
         located: Mapping[int, RunLocation],
         lost: Sequence[int],
         round_index: int = -1,
-        executor=None,
     ) -> Dict[Cell, Cell]:
         """Decide every run's action; returns the runner fold moves.
 
         Three phases: build the round's shared read-only context, plan
         each run against it (:meth:`_plan_one` is a pure function of
-        that context, so runs may be planned in any order or
-        concurrently), and reduce the results deterministically in
-        run-id order.  ``executor`` is anything with an order-preserving
-        ``map`` (e.g. :class:`~concurrent.futures.ThreadPoolExecutor`);
-        ``None`` plans serially.  Serial and sharded planning are
-        bit-identical by construction: the only cross-run coupling — two
-        runs sharing a robot cell, where the first by run id claims the
-        fold — lives in the serial reduce.
+        that context, so the plan never depends on the order runs are
+        visited in), and reduce the results deterministically in run-id
+        order.  The only cross-run coupling — two runs sharing a robot
+        cell, where the first by run id claims the fold — lives in the
+        reduce.
         """
-        cfg = self.cfg
         self._planned = []
         run_moves: Dict[Cell, Cell] = {}
 
@@ -407,8 +402,6 @@ class RunManager:
             )
         runner_cells = self.runner_cells()
         lost_set = set(lost)
-        order = sorted(self.runs)
-
         ctx = (
             occupied,
             merge_moves,
@@ -419,47 +412,7 @@ class RunManager:
             runs_per_boundary,
             runner_cells,
         )
-        snapshot_map = getattr(executor, "snapshot_map", None)
-        if snapshot_map is not None and len(order) > 1:
-            # Out-of-process backends: freeze the shared context into a
-            # round snapshot (published once; see engine/snapshot.py),
-            # ship shards as bare run-id lists, rebuild _Planned records
-            # around this manager's own Run objects from the slim
-            # results.  Lazy import: engine.snapshot imports this module.
-            from repro.engine.snapshot import (
-                encode_round_context,
-                plan_results_from_slim,
-            )
-
-            payload = encode_round_context(
-                cfg,
-                self.runs,
-                occupied,
-                merge_moves,
-                located,
-                lost_set,
-                round_index,
-            )
-            shards = self._plan_shards(order, located)
-            slim: Dict[int, tuple] = {}
-            for shard_result in snapshot_map(payload, shards):
-                for rid, terminate, next_robot, fold in shard_result:
-                    slim[rid] = (terminate, next_robot, fold)
-            results = plan_results_from_slim(self, order, slim)
-        elif executor is not None and len(order) > 1:
-            shards = self._plan_shards(order, located)
-            planned_by_rid: Dict[int, Tuple[_Planned, Optional[Cell]]] = {}
-            for shard_result in executor.map(
-                lambda shard: [
-                    (rid, self._plan_one(rid, *ctx)) for rid in shard
-                ],
-                shards,
-            ):
-                for rid, result in shard_result:
-                    planned_by_rid[rid] = result
-            results = [planned_by_rid[rid] for rid in order]
-        else:
-            results = [self._plan_one(rid, *ctx) for rid in order]
+        results = [self._plan_one(rid, *ctx) for rid in sorted(self.runs)]
 
         # Deterministic reduce in run-id order: first claim on a shared
         # robot cell wins the fold (two runs can hold one robot).
@@ -469,26 +422,6 @@ class RunManager:
                 run_moves[planned.run.robot] = fold
             self._planned.append(planned)
         return run_moves
-
-    @staticmethod
-    def _plan_shards(
-        order: Sequence[int], located: Mapping[int, RunLocation]
-    ) -> List[List[int]]:
-        """Partition the run ids into independent planning shards.
-
-        Runs are grouped by contour (the natural independence unit: rule
-        1 probes only ever meet runs of the same contour) and groups are
-        emitted as shards in contour order, lost runs first.  Since
-        :meth:`_plan_one` is read-only, any partition is sound — the
-        grouping just keeps a shard's ring walks on one contour's nodes.
-        """
-        groups: Dict[int, List[int]] = {}
-        for rid in order:
-            loc = located.get(rid)
-            groups.setdefault(-1 if loc is None else loc.b_idx, []).append(
-                rid
-            )
-        return [groups[key] for key in sorted(groups)]
 
     def _plan_one(
         self,

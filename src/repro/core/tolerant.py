@@ -88,7 +88,7 @@ class TolerantGatherOnGrid(GatherOnGrid):
     """The paper's planner with the subset-safety admission filter.
 
     Identical bookkeeping to :class:`GatherOnGrid` — merges, runs,
-    pipelining, sharded planning — but :meth:`plan_round` passes the
+    pipelining — but :meth:`plan_round` passes the
     stock plan through :func:`certified_subset` before returning it.
     The run manager's finalize path already tolerates unexecuted moves
     (the SSYNC engines drop arbitrary subsets), so deferral needs no

@@ -1,65 +1,29 @@
-"""Planning/sweep executors: persistent workers that survive death.
+"""Sweep executor: persistent worker processes that survive death.
 
-Three shard-planning backends behind one factory
-(:func:`make_plan_executor`), selected by ``cfg.shard_backend``:
-
-``thread``
-    The stock :class:`~concurrent.futures.ThreadPoolExecutor` behind the
-    order-preserving ``map`` contract of ``RunManager.plan`` — cheap,
-    correct everywhere, a real speedup only on GIL-free interpreters.
-``process``
-    :class:`ProcessPlanExecutor`: long-lived worker processes over a
-    :class:`PersistentWorkerPool`.  The round's read-only planning
-    context is serialized once (:mod:`repro.engine.snapshot`), published
-    in ``multiprocessing.shared_memory``, and decoded once per worker —
-    shard tasks then carry only run-id lists, so per-shard IPC is a few
-    dozen bytes instead of the whole swarm.
-``subinterp``
-    Per-subinterpreter workers where the interpreter exposes
-    ``concurrent.futures.InterpreterPoolExecutor`` (3.14+; guarded by
-    :func:`subinterp_available` and a clean :class:`ExecutorUnavailable`
-    elsewhere).
-
-All backends produce bit-identical trajectories to serial planning (the
-equivalence suite asserts it): workers run the same pure
-``_plan_one`` against the decoded context and the parent reduces in
-run-id order either way.
-
-:class:`PersistentWorkerPool` is also the engine under the sweep
-orchestrator (:mod:`repro.analysis.orchestrator`).  It is deliberately
-*not* a :class:`~concurrent.futures.ProcessPoolExecutor`: that pool
-marks itself broken when any worker dies, whereas sweeps and long
-planning sessions must degrade to a retry.  Here a dead worker (poison
-result, SIGKILL, timeout) is detected via its process sentinel, its
-in-flight task is requeued (bounded by ``max_retries``), a replacement
-worker is spawned, and the ``on_event`` hook hears ``worker_failed`` /
-``worker_respawned`` — diagnostics only, never part of the trajectory.
+:class:`PersistentWorkerPool` is the engine under the sweep
+orchestrator (:mod:`repro.analysis.orchestrator`) and, through it, the
+service.  It is deliberately *not* a
+:class:`~concurrent.futures.ProcessPoolExecutor`: that pool marks itself
+broken when any worker dies, whereas sweeps must degrade to a retry.
+Here a dead worker (poison result, SIGKILL, timeout) is detected via its
+process sentinel, its in-flight task is requeued (bounded by
+``max_retries``), a replacement worker is spawned, and the ``on_event``
+hook hears ``worker_failed`` / ``worker_respawned`` — diagnostics only,
+never part of a trajectory.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.snapshot import cached_decode, plan_shard
-
-#: Valid ``cfg.shard_backend`` values, in documentation order.
-PLAN_BACKENDS = ("thread", "process", "subinterp")
-
 #: ``on_event(kind, **data)`` hook type for worker lifecycle telemetry.
 OnEvent = Callable[..., None]
-
-
-class ExecutorUnavailable(RuntimeError):
-    """The requested backend cannot run on this interpreter/platform."""
 
 
 class WorkerTaskError(RuntimeError):
@@ -130,7 +94,6 @@ class PersistentWorkerPool:
         task_timeout: Optional[float] = None,
         max_retries: int = 3,
         start_method: Optional[str] = None,
-        daemon: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -138,13 +101,6 @@ class PersistentWorkerPool:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
-        # Planning pools are leaves -> daemon.  Sweep pools must be
-        # non-daemon: a sweep job whose config asks for process-backend
-        # planning spawns a nested pool, and daemonic processes are not
-        # allowed children.  Non-daemon workers still self-clean — the
-        # recv loop exits on EOF the moment the parent (and so its pipe
-        # end) goes away.
-        self._daemon = daemon
         self._on_event = on_event
         self._task_timeout = task_timeout
         self._max_retries = max_retries
@@ -163,7 +119,9 @@ class PersistentWorkerPool:
         proc = self._ctx.Process(
             target=_pool_worker_main,
             args=(child_conn,),
-            daemon=self._daemon,
+            # Non-daemonic so a job may start processes of its own; the
+            # worker still exits on EOF once the parent's pipe end closes.
+            daemon=False,
         )
         proc.start()
         child_conn.close()  # the child holds its own copy
@@ -402,191 +360,3 @@ class PersistentWorkerPool:
                 )
             out.append(value)
         return out
-
-
-# ----------------------------------------------------------------------
-# Shard-planning executors (``RunManager.plan`` plug-ins)
-# ----------------------------------------------------------------------
-class ThreadPlanExecutor:
-    """The stock thread backend behind the generic ``map`` contract."""
-
-    backend = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="plan-shard"
-        )
-
-    def map(self, fn, iterable):
-        return self._pool.map(fn, iterable)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def _plan_shard_from_shm(
-    shm_name: str, size: int, seq: int, shard: List[int]
-) -> list:
-    """Process-worker task: attach the round snapshot (decoded once per
-    round per worker, then cached), plan one shard of run ids."""
-    key = (shm_name, seq)
-    # Fast path: the cache probe must not reattach the segment.
-    from repro.engine.snapshot import _SNAPSHOT_CACHE
-
-    decoded = _SNAPSHOT_CACHE.get(key)
-    if decoded is None:
-        # The parent owns (and unlinks) the segment; an attach must not
-        # enroll it with this process's resource tracker or the tracker
-        # warns about — and double-unlinks — every round's snapshot at
-        # shutdown.  3.13+ has ``track=False`` for exactly this; earlier
-        # interpreters need the documented unregister workaround.
-        try:
-            segment = shared_memory.SharedMemory(
-                name=shm_name, track=False
-            )
-        except TypeError:
-            segment = shared_memory.SharedMemory(name=shm_name)
-            resource_tracker.unregister(segment._name, "shared_memory")
-        try:
-            payload = bytes(segment.buf[:size])
-        finally:
-            segment.close()
-        decoded = cached_decode(key, payload)
-    return plan_shard(decoded, shard)
-
-
-class ProcessPlanExecutor:
-    """Persistent worker processes fed shared-memory round snapshots.
-
-    ``snapshot_map(payload, shards)`` publishes the encoded round
-    context once (one :class:`~multiprocessing.shared_memory.\
-SharedMemory` segment per round, unlinked after the round) and fans the
-    shard run-id lists over the pool.  Worker death mid-round degrades
-    to a requeue on a fresh worker — the snapshot is still published, so
-    recovery needs no cooperation from the parent's planning state.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        on_event: Optional[OnEvent] = None,
-        task_timeout: Optional[float] = None,
-    ) -> None:
-        self._pool = PersistentWorkerPool(
-            workers, on_event=on_event, task_timeout=task_timeout
-        )
-        self._seq = 0
-
-    @property
-    def pool(self) -> PersistentWorkerPool:
-        """The underlying pool (tests reach in to kill workers)."""
-        return self._pool
-
-    def snapshot_map(
-        self, payload: bytes, shards: Sequence[Sequence[int]]
-    ) -> List[list]:
-        self._seq += 1
-        seg = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-        try:
-            seg.buf[: len(payload)] = payload
-            tasks = [
-                (
-                    _plan_shard_from_shm,
-                    (seg.name, len(payload), self._seq, list(shard)),
-                )
-                for shard in shards
-            ]
-            return self._pool.run_all(tasks)
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-def _plan_shard_from_payload(task: tuple) -> list:
-    """Subinterpreter-worker task: the payload rides along (interpreters
-    share no heap), cached per interpreter by round sequence."""
-    payload, seq, shard = task
-    return plan_shard(cached_decode(("inline", seq), payload), shard)
-
-
-def subinterp_available() -> bool:
-    """True iff this interpreter ships ``InterpreterPoolExecutor``."""
-    try:
-        from concurrent.futures import (  # noqa: F401
-            InterpreterPoolExecutor,
-        )
-    except ImportError:
-        return False
-    return True
-
-
-class SubinterpPlanExecutor:
-    """Per-subinterpreter planning workers (3.14+'s
-    ``InterpreterPoolExecutor``); construction raises a clean
-    :class:`ExecutorUnavailable` elsewhere so callers/CLI can degrade
-    with a real message instead of an ImportError mid-round."""
-
-    backend = "subinterp"
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        on_event: Optional[OnEvent] = None,
-    ) -> None:
-        try:
-            from concurrent.futures import InterpreterPoolExecutor
-        except ImportError as exc:
-            raise ExecutorUnavailable(
-                "shard_backend='subinterp' needs concurrent.futures."
-                "InterpreterPoolExecutor (Python 3.14+); this "
-                "interpreter has none — use 'process' or 'thread'"
-            ) from exc
-        self._pool = InterpreterPoolExecutor(max_workers=workers)
-        self._seq = 0
-
-    def snapshot_map(
-        self, payload: bytes, shards: Sequence[Sequence[int]]
-    ) -> List[list]:
-        self._seq += 1
-        seq = self._seq
-        tasks = [(payload, seq, list(shard)) for shard in shards]
-        return list(self._pool.map(_plan_shard_from_payload, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def default_plan_workers(shard_workers: int) -> int:
-    """``cfg.shard_workers`` resolution: 0 = auto ``min(4, cpus)``."""
-    return shard_workers or min(4, os.cpu_count() or 1)
-
-
-def make_plan_executor(
-    backend: str,
-    workers: int,
-    *,
-    on_event: Optional[OnEvent] = None,
-    task_timeout: Optional[float] = None,
-):
-    """Build the shard-planning executor for ``cfg.shard_backend``."""
-    if backend == "thread":
-        return ThreadPlanExecutor(workers)
-    if backend == "process":
-        return ProcessPlanExecutor(
-            workers, on_event=on_event, task_timeout=task_timeout
-        )
-    if backend == "subinterp":
-        return SubinterpPlanExecutor(workers, on_event=on_event)
-    raise ValueError(
-        f"unknown shard backend {backend!r}; expected one of "
-        f"{', '.join(PLAN_BACKENDS)}"
-    )

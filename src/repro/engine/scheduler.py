@@ -35,18 +35,6 @@ from repro.grid.geometry import Cell
 from repro.grid.occupancy import SwarmState
 
 
-def close_controller(controller) -> None:
-    """Release controller-held resources (e.g. the sharded-planning
-    thread pool of :class:`repro.core.algorithm.GatherOnGrid`).
-    Duck-typed because baseline controllers have no ``close``;
-    idempotent — controllers recreate their pools on demand.  The one
-    implementation behind :meth:`FsyncEngine.close` and the facade's
-    scheduler drive paths."""
-    closer = getattr(controller, "close", None)
-    if callable(closer):
-        closer()
-
-
 class Controller(Protocol):
     """A synchronous distributed algorithm under simulation.
 
@@ -173,23 +161,6 @@ class FsyncEngine:
         self._terminal_version: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release controller-held resources (see
-        :func:`close_controller`); the engine remains usable."""
-        close_controller(self.controller)
-
-    def __enter__(self) -> "FsyncEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        """Context-manager exit: controller pools are released even when
-        a ``step()`` loop raises mid-round — the planning executors hold
-        real worker processes, so leaking them on the exception path is
-        a resource bug (the lifecycle regression tests pin this)."""
-        self.close()
-        return False
-
-    # ------------------------------------------------------------------
     def step(self) -> int:
         """Execute one FSYNC round; returns the number of merged robots."""
         state = self.state
@@ -248,17 +219,9 @@ class FsyncEngine:
             else default_round_budget(n0)
         )
         gathered = is_gathered(self.state, self.gather_square)
-        try:
-            while not gathered and self.round_index < budget:
-                self.step()
-                gathered = is_gathered(self.state, self.gather_square)
-        except BaseException:
-            # A failing round must not leak the controller's planning
-            # pool (worker processes); close and re-raise — close() is
-            # idempotent and pools are recreated on demand, so a caller
-            # that catches and resumes loses nothing.
-            self.close()
-            raise
+        while not gathered and self.round_index < budget:
+            self.step()
+            gathered = is_gathered(self.state, self.gather_square)
         if not gathered and raise_on_budget:
             raise NotGathered(self.round_index, len(self.state))
         # Terminal event (round_index == total rounds executed): the log

@@ -351,9 +351,7 @@ def explore(
     # Branch planning uses full-rescan mode: the incremental pipeline's
     # caches would be rebuilt from scratch on every fork anyway (the
     # equivalence suite pins incremental == full rescan bit-identity).
-    plan_cfg = replace(
-        user_cfg, incremental=False, shard_planning=False
-    )
+    plan_cfg = replace(user_cfg, incremental=False)
 
     root_key, root_offset = canonical_state_key(
         cells, {"next_id": 0, "runs": []}, round_phase(0, user_cfg),

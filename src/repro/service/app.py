@@ -225,7 +225,7 @@ def validate_params(data: Any) -> Dict[str, Any]:
 
     if "config" in params:
         try:
-            AlgorithmConfig(**params["config"])
+            AlgorithmConfig.from_dict(params["config"])
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from None
     # Scenario construction validates the family/n/payload shape.

@@ -74,7 +74,7 @@ def config_from_params(
     params: Dict[str, Any],
 ) -> Optional[AlgorithmConfig]:
     cfg = params.get("config")
-    return None if cfg is None else AlgorithmConfig(**cfg)
+    return None if cfg is None else AlgorithmConfig.from_dict(cfg)
 
 
 def checkpointable(params: Dict[str, Any]) -> bool:
@@ -211,8 +211,7 @@ def _execute_grid_checkpointed(
             )
             recorder._wrote_header = True  # appending to the trace
             engine.on_round = _flushing(recorder)
-            with engine:
-                result = engine.run(max_rounds=budget)
+            result = engine.run(max_rounds=budget)
         # Rebuild the summary shape from the header: the engine only
         # saw the tail, so initial-population fields come from meta.
         # Event counts cover the resumed tail plus the terminal event

@@ -1,4 +1,4 @@
-"""Persistent worker pool, snapshot codec, and planning executors.
+"""The persistent worker pool behind sweeps and the service.
 
 The recovery tests SIGKILL real worker processes — the pool must
 detect the death, respawn, requeue, emit lifecycle events, and keep
@@ -13,22 +13,11 @@ import time
 
 import pytest
 
-from repro.core.algorithm import GatherOnGrid
-from repro.core.config import AlgorithmConfig
 from repro.engine.executors import (
-    PLAN_BACKENDS,
-    ExecutorUnavailable,
     PersistentWorkerPool,
-    ProcessPlanExecutor,
-    ThreadPlanExecutor,
     WorkerCrashLoop,
     WorkerTaskError,
-    default_plan_workers,
-    make_plan_executor,
 )
-from repro.engine.scheduler import FsyncEngine
-from repro.grid.occupancy import SwarmState
-from repro.swarms.generators import ring
 
 
 def _square(x):
@@ -139,193 +128,3 @@ class TestPersistentWorkerPool:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError, match=">= 1"):
             PersistentWorkerPool(0)
-
-
-class TestSnapshotCodec:
-    def test_round_trip_rebuilds_planning_context(self):
-        from repro.core.runs import RunManager
-        from repro.engine.snapshot import (
-            decode_round_context,
-            encode_round_context,
-        )
-        from repro.grid.ring import RingSet
-
-        cfg = AlgorithmConfig()
-        ctrl = GatherOnGrid(cfg)
-        eng = FsyncEngine(SwarmState(ring(16)), ctrl)
-        # advance until runs exist so the codec has rings to encode
-        while not ctrl.run_manager.runs and eng.round_index < 50:
-            eng.step()
-        assert ctrl.run_manager.runs
-        state = eng.state
-        contours = RingSet.from_cells(state.cells)
-        located, lost = ctrl.run_manager.locate(contours)
-        payload = encode_round_context(
-            cfg,
-            ctrl.run_manager.runs,
-            state.cells,
-            {},
-            located,
-            lost,
-            eng.round_index,
-        )
-        decoded = decode_round_context(payload)
-        manager, ctx = decoded.manager, decoded.ctx
-        assert isinstance(manager, RunManager)
-        assert manager.runs == ctrl.run_manager.runs
-        occupied, merge_moves, dec_located, dec_lost, rnd = ctx[:5]
-        assert occupied == state.cells
-        assert merge_moves == {}
-        assert rnd == eng.round_index
-        assert dec_lost == set(lost)
-        # located: same run ids, same insertion order, same cells, and
-        # the rebuilt rings agree on effective length
-        assert list(dec_located) == list(located)
-        for rid, loc in located.items():
-            dec = dec_located[rid]
-            assert dec.node.cell == loc.node.cell
-            assert dec.b_idx == loc.b_idx
-            assert len(dec.ring) == len(loc.ring)
-        eng.close()
-
-    def test_bad_magic_fails_loudly(self):
-        from repro.engine.snapshot import decode_round_context
-
-        with pytest.raises(ValueError, match="magic"):
-            decode_round_context(b"XXXX" + b"\x00" * 16)
-
-
-class TestPlanExecutors:
-    def test_factory_backends(self):
-        thread = make_plan_executor("thread", 2)
-        assert isinstance(thread, ThreadPlanExecutor)
-        thread.close()
-        proc = make_plan_executor("process", 2)
-        assert isinstance(proc, ProcessPlanExecutor)
-        proc.close()
-
-    def test_factory_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="thread, process, subinterp"):
-            make_plan_executor("gpu", 2)
-
-    def test_config_validates_backend(self):
-        with pytest.raises(ValueError, match="shard_backend"):
-            AlgorithmConfig(shard_backend="gpu")
-        for backend in PLAN_BACKENDS:
-            AlgorithmConfig(shard_backend=backend)
-
-    def test_default_plan_workers(self):
-        assert default_plan_workers(3) == 3
-        auto = default_plan_workers(0)
-        assert 1 <= auto <= 4
-
-    def test_subinterp_unavailable_raises_cleanly(self):
-        from repro.engine.executors import subinterp_available
-
-        if subinterp_available():
-            pytest.skip("interpreter has subinterpreter executors")
-        with pytest.raises(ExecutorUnavailable, match="thread"):
-            make_plan_executor("subinterp", 2)
-
-    def test_worker_killed_mid_run_trajectory_identical(self):
-        """SIGKILL a planning worker between rounds: the next dispatch
-        hits the dead pipe (or its sentinel), the pool respawns and
-        requeues, and the full trajectory stays bit-identical to an
-        undisturbed run."""
-
-        def run(kill=False):
-            cfg = AlgorithmConfig(
-                shard_planning=True,
-                shard_backend="process",
-                shard_workers=2,
-            )
-            states = []
-            ctrl = GatherOnGrid(cfg)
-            killed = False
-            with FsyncEngine(
-                SwarmState(ring(24)),
-                ctrl,
-                check_connectivity=False,
-            ) as eng:
-                while (
-                    not eng.state.is_gathered()
-                    and eng.round_index < 600
-                ):
-                    eng.step()
-                    states.append(eng.state.frozen())
-                    # Kill as soon as the planning pool exists, i.e.
-                    # right after its first real dispatch round.
-                    if kill and not killed and ctrl._shard_pool:
-                        pool = ctrl._shard_executor().pool
-                        os.kill(pool.worker_pids()[0], signal.SIGKILL)
-                        killed = True
-                kinds = [e.kind for e in ctrl.events]
-            assert not kill or killed, "pool never materialized"
-            return states, kinds
-
-        clean, _ = run()
-        disturbed, kinds = run(kill=True)
-        assert disturbed == clean
-        assert "worker_failed" in kinds
-        assert "worker_respawned" in kinds
-
-
-class TestLifecycle:
-    """Satellite regression: a failing round must not leak the planning
-    pool (worker processes) on any exit path."""
-
-    def _exploding_controller(self):
-        cfg = AlgorithmConfig(
-            shard_planning=True, shard_backend="process", shard_workers=2
-        )
-        ctrl = GatherOnGrid(cfg)
-        original = ctrl.plan_round
-
-        def plan_round(state, round_index):
-            if round_index >= 2:
-                raise RuntimeError("injected mid-run failure")
-            return original(state, round_index)
-
-        ctrl.plan_round = plan_round
-        return ctrl
-
-    def test_engine_run_closes_pool_on_failing_round(self):
-        ctrl = self._exploding_controller()
-        eng = FsyncEngine(
-            SwarmState(ring(16)), ctrl, check_connectivity=False
-        )
-        with pytest.raises(RuntimeError, match="injected"):
-            eng.run()
-        assert ctrl._shard_pool is None  # released, not leaked
-
-    def test_engine_context_manager_closes_pool(self):
-        ctrl = self._exploding_controller()
-        with pytest.raises(RuntimeError, match="injected"):
-            with FsyncEngine(
-                SwarmState(ring(16)), ctrl, check_connectivity=False
-            ) as eng:
-                while True:
-                    eng.step()
-        assert ctrl._shard_pool is None
-
-    def test_controller_context_manager(self):
-        cfg = AlgorithmConfig(shard_planning=True, shard_workers=2)
-        with GatherOnGrid(cfg) as ctrl:
-            eng = FsyncEngine(
-                SwarmState(ring(12)), ctrl, check_connectivity=False
-            )
-            eng.step()
-            assert ctrl._shard_pool is not None
-        assert ctrl._shard_pool is None
-
-    def test_closed_controller_plans_again(self):
-        cfg = AlgorithmConfig(shard_planning=True, shard_workers=2)
-        ctrl = GatherOnGrid(cfg)
-        eng = FsyncEngine(
-            SwarmState(ring(12)), ctrl, check_connectivity=False
-        )
-        eng.step()
-        ctrl.close()
-        eng.step()  # executor recreated on demand
-        assert ctrl._shard_pool is not None
-        ctrl.close()

@@ -29,7 +29,6 @@ import os
 import pytest
 
 from repro.core.config import AlgorithmConfig
-from repro.engine.executors import subinterp_available
 
 from tools.make_goldens import SCENARIOS, run_scenario
 
@@ -78,15 +77,6 @@ def test_incremental_matches_full_and_seed(name, golden):
     # Layer 1: the incremental pipeline is bit-identical to full rescans.
     assert on == off, f"{name}: incremental mode changed the trajectory"
 
-    # Sharded planning (threaded per-run shards + deterministic reduce)
-    # must not change anything either — with or without the incremental
-    # caches underneath.
-    sharded = run_scenario(
-        SCENARIOS[name],
-        AlgorithmConfig(incremental=True, shard_planning=True),
-    )
-    assert sharded == on, f"{name}: sharded planning changed the trajectory"
-
     # Layer 2: bit-identical to the seed implementation, modulo the
     # documented run-start bugfix.
     gold = golden[name]
@@ -101,76 +91,6 @@ def test_incremental_matches_full_and_seed(name, golden):
             assert on["event_hashes"] == gold["event_hashes"], (
                 f"{name}: run lifecycle events diverged from seed"
             )
-
-
-# ----------------------------------------------------------------------
-# Executor backend matrix: every ``cfg.shard_backend`` × incremental
-# on/off must be bit-identical to serial planning.  The full scenario
-# sweep above already covers thread × incremental-on; this matrix drives
-# the remaining combinations (including the process backend's
-# shared-memory snapshot encode/decode round-trip) over a representative
-# subset spanning holes, trees, corridors, and merge-heavy blobs.
-# ----------------------------------------------------------------------
-BACKEND_SCENARIOS = (
-    "ring12",
-    "solid_24",
-    "double_donut12",
-    "tree_24",
-    "l_corridor10",
-    "blob_24",
-)
-
-BACKENDS = ["thread", "process"] + (
-    ["subinterp"] if subinterp_available() else []
-)
-
-
-@pytest.fixture(scope="module")
-def backend_baselines():
-    """Serial trajectories for the backend matrix, one per
-    (scenario, incremental) combination."""
-    return {
-        (name, incremental): run_scenario(
-            SCENARIOS[name], AlgorithmConfig(incremental=incremental)
-        )
-        for name in BACKEND_SCENARIOS
-        for incremental in (True, False)
-    }
-
-
-@pytest.mark.parametrize("incremental", [True, False])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matrix_bit_identical(
-    backend, incremental, backend_baselines
-):
-    for name in BACKEND_SCENARIOS:
-        sharded = run_scenario(
-            SCENARIOS[name],
-            AlgorithmConfig(
-                incremental=incremental,
-                shard_planning=True,
-                shard_backend=backend,
-                shard_workers=2,
-            ),
-        )
-        assert sharded == backend_baselines[(name, incremental)], (
-            f"{name}: backend {backend!r} (incremental={incremental}) "
-            f"changed the trajectory"
-        )
-
-
-def test_subinterp_unavailable_degrades_cleanly():
-    """Where the interpreter lacks InterpreterPoolExecutor the backend
-    must fail with a message naming the alternatives, not mid-round."""
-    from repro.engine.executors import (
-        ExecutorUnavailable,
-        make_plan_executor,
-    )
-
-    if subinterp_available():
-        pytest.skip("interpreter has subinterpreter executors")
-    with pytest.raises(ExecutorUnavailable, match="process"):
-        make_plan_executor("subinterp", 2)
 
 
 def test_full_connectivity_mode_identical():

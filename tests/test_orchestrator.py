@@ -6,6 +6,7 @@ mid-simulation; results must come out identical to undisturbed runs.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -141,7 +142,7 @@ class TestSweepJobStore:
             family="line",
             n=30,
             seed=7,
-            cfg=AlgorithmConfig(shard_planning=True, shard_workers=2),
+            cfg=AlgorithmConfig(run_start_interval=30, incremental=False),
             check_connectivity=False,
             max_rounds=500,
             strategy="grid",
@@ -150,6 +151,34 @@ class TestSweepJobStore:
         )
         store = SweepJobStore.create(tmp_path / "sw", [job])
         assert store.jobs()["job-000001"] == job
+
+    def test_store_with_retired_cfg_keys_opens_and_runs(self, tmp_path):
+        """Specs written while sharded planning existed carry its three
+        config fields in every cfg; such a store must still open and
+        run to the same results."""
+        cfg = AlgorithmConfig(incremental=False)
+        jobs = [SweepJob(family="ring", n=n, cfg=cfg) for n in (12, 16)]
+        store = SweepJobStore.create(tmp_path / "sw", jobs)
+        spec = json.loads(store.spec_path.read_text())
+        for data in spec["jobs"]:
+            data["cfg"].update(
+                {
+                    "shard_" + "planning": True,
+                    "shard_" + "workers": 2,
+                    "shard_" + "backend": "process",
+                }
+            )
+        store.spec_path.write_text(json.dumps(spec))
+        reopened = SweepJobStore.open(tmp_path / "sw")
+        assert list(reopened.jobs().values()) == jobs
+        results = run_store(reopened, workers=2)
+        assert [results[j] for j in sorted(results)] == run_jobs(jobs)
+
+    def test_cfg_from_dict_rejects_other_unknown_keys(self):
+        data = dataclasses.asdict(AlgorithmConfig())
+        assert AlgorithmConfig.from_dict(data) == AlgorithmConfig()
+        with pytest.raises(TypeError, match="bogus"):
+            AlgorithmConfig.from_dict({**data, "bogus": 1})
 
     def test_failure_recorded_and_raised(self, tmp_path):
         store = SweepJobStore.create(tmp_path / "sw", JOBS[:1])
@@ -331,43 +360,6 @@ class TestSweepCli:
             main(["sweep", "status", str(tmp_path / "nope")]) == 2
         )
         assert "spec.json" in capsys.readouterr().err
-
-    def test_shard_backend_requires_shard_planning(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "gather",
-                "--family",
-                "ring",
-                "-n",
-                "16",
-                "--shard-backend",
-                "process",
-            ]
-        )
-        assert rc == 2
-        assert "--shard-planning" in capsys.readouterr().err
-
-    def test_gather_process_backend(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "gather",
-                "--family",
-                "ring",
-                "-n",
-                "24",
-                "--shard-planning",
-                "--shard-backend",
-                "process",
-                "--json",
-            ]
-        )
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["gathered"]
 
 
 def test_scaling_point_roundtrips_through_store_json(tmp_path):

@@ -315,7 +315,7 @@ class TestD3UnorderedIteration:
 
 
 # ----------------------------------------------------------------------
-# P1 — purity of the sharded planner
+# P1 — purity of the per-run planner
 # ----------------------------------------------------------------------
 PURE_PLANNER = """
 def helper(ctx):

@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Compare freshly measured benchmark reports against committed ones.
 
-Default mode: BENCH_ring.json speedup ratios.  ``--shard`` mode:
-BENCH_shard.json executor-backend reports (structure, the
-process-beats-serial claim where the machine can support it, backend
-speedup ratios, and the sweep pool-reuse floor).
+Default mode: BENCH_ring.json speedup ratios.  ``--sweep`` mode:
+BENCH_sweep.json reports (structure and the sweep pool-reuse floor).
 
 CI's ``bench-smoke`` job regenerates the steady-state micro-bench report
 (``BENCH_RING_OUT=... pytest benchmarks/bench_micro.py -k
@@ -78,110 +76,39 @@ def compare(
     return lines
 
 
-_SHARD_INSTANCE_KEYS = (
-    "serial_ms_per_round",
-    "thread_ms_per_round",
-    "process_ms_per_round",
-    "thread_speedup",
-    "process_speedup",
-)
-_SHARD_SWEEP_KEYS = ("fresh_pool_s", "persistent_pool_s", "reuse_speedup")
+_SWEEP_KEYS = ("fresh_pool_s", "persistent_pool_s", "reuse_speedup")
 
 
-def load_shard_report(path: str) -> dict:
-    """Load and structurally validate a BENCH_shard.json report."""
+def load_sweep_report(path: str) -> dict:
+    """Load and structurally validate a BENCH_sweep.json report."""
     with open(path) as fh:
         report = json.load(fh)
     cpus = report.get("cpu_count")
     if not isinstance(cpus, int) or cpus < 1:
         raise ValueError(f"{path}: missing/invalid cpu_count")
-    instances = report.get("instances")
-    if not isinstance(instances, dict) or not instances:
-        raise ValueError(f"{path}: no instances in report")
-    for name, values in instances.items():
-        for key in _SHARD_INSTANCE_KEYS:
-            v = values.get(key)
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise ValueError(
-                    f"{path}: instance {name!r} missing {key}"
-                )
     sweep = report.get("sweep_dispatch")
     if not isinstance(sweep, dict):
         raise ValueError(f"{path}: missing sweep_dispatch")
-    for key in _SHARD_SWEEP_KEYS:
+    for key in _SWEEP_KEYS:
         v = sweep.get(key)
         if not isinstance(v, (int, float)) or v <= 0:
             raise ValueError(f"{path}: sweep_dispatch missing {key}")
     return report
 
 
-def check_shard(
-    baseline: dict,
-    fresh_reports: list,
-    tolerance: float,
-    reuse_floor: float,
+def check_sweep(
+    baseline: dict, fresh_reports: list, reuse_floor: float
 ) -> list[str]:
-    """Comparison lines for ``--shard`` mode; failures are marked with
-    ``REGRESSION`` / ``FAILED``.
-
-    Absolute ms are machine-bound, so everything is ratios.  The
-    process-beats-serial claim is only asserted on fresh reports whose
-    machine has >= 2 CPUs (on one core the snapshot publish is pure
-    overhead), and baseline-vs-fresh ratio floors only apply when the
-    two machines have comparable parallelism (equal cpu_count) —
-    otherwise the lines are informational.
-    """
-    lines = []
-    multi = [r for r in fresh_reports if r["cpu_count"] >= 2]
-    if multi:
-        best = max(
-            v["process_speedup"]
-            for r in multi
-            for v in r["instances"].values()
-        )
-        verdict = "ok" if best > 1.0 else "FAILED"
-        lines.append(
-            f"  process-beats-serial (cpu_count>=2): best "
-            f"{best:.2f}x -> {verdict}"
-        )
-    else:
-        lines.append(
-            "  process-beats-serial: skipped (no fresh report from a "
-            "multi-core machine)"
-        )
-    comparable = [
-        r for r in fresh_reports if r["cpu_count"] == baseline["cpu_count"]
+    """Comparison lines for ``--sweep`` mode; a failure is marked
+    ``FAILED``.  Only the best fresh pool-reuse speedup is gated (a
+    machine-independent ratio); the baseline is shown for context."""
+    base = baseline["sweep_dispatch"]["reuse_speedup"]
+    best = max(r["sweep_dispatch"]["reuse_speedup"] for r in fresh_reports)
+    verdict = "ok" if best >= reuse_floor else "FAILED"
+    return [
+        f"  sweep pool reuse: baseline {base:.2f}x, best fresh "
+        f"{best:.2f}x, floor {reuse_floor:.2f}x -> {verdict}"
     ]
-    for name in sorted(baseline["instances"]):
-        base = baseline["instances"][name]
-        for key in ("thread_speedup", "process_speedup"):
-            news = [
-                r["instances"][name][key]
-                for r in comparable
-                if name in r["instances"]
-            ]
-            if not news:
-                lines.append(
-                    f"  {name}.{key}: baseline {base[key]:.2f}x, no "
-                    f"comparable fresh report (info)"
-                )
-                continue
-            new = max(news)
-            floor = base[key] * (1.0 - tolerance)
-            verdict = "ok" if new >= floor else "REGRESSION"
-            lines.append(
-                f"  {name}.{key}: baseline {base[key]:.2f}x, fresh "
-                f"{new:.2f}x, floor {floor:.2f}x -> {verdict}"
-            )
-    best_reuse = max(
-        r["sweep_dispatch"]["reuse_speedup"] for r in fresh_reports
-    )
-    verdict = "ok" if best_reuse >= reuse_floor else "FAILED"
-    lines.append(
-        f"  sweep pool reuse: best {best_reuse:.2f}x, floor "
-        f"{reuse_floor:.2f}x -> {verdict}"
-    )
-    return lines
 
 
 def main(argv=None) -> int:
@@ -200,16 +127,16 @@ def main(argv=None) -> int:
         help="allowed relative speedup drop before failing (default 0.3)",
     )
     parser.add_argument(
-        "--shard",
+        "--sweep",
         action="store_true",
-        help="compare BENCH_shard.json executor-backend reports instead "
-        "of BENCH_ring.json speedups",
+        help="check BENCH_sweep.json pool-reuse reports instead of "
+        "BENCH_ring.json speedups",
     )
     parser.add_argument(
         "--reuse-floor",
         type=float,
         default=1.0,
-        help="--shard only: minimum sweep pool-reuse speedup "
+        help="--sweep only: minimum sweep pool-reuse speedup "
         "(default 1.0 — reusing workers must never lose to "
         "respawning them)",
     )
@@ -217,22 +144,18 @@ def main(argv=None) -> int:
     if not 0.0 <= args.tolerance < 1.0:
         print("error: --tolerance must be in [0, 1)", file=sys.stderr)
         return 2
-    if args.shard:
+    if args.sweep:
         try:
-            baseline = load_shard_report(args.baseline)
-            fresh_reports = [load_shard_report(p) for p in args.fresh]
+            baseline = load_sweep_report(args.baseline)
+            fresh_reports = [load_sweep_report(p) for p in args.fresh]
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        lines = check_shard(
-            baseline, fresh_reports, args.tolerance, args.reuse_floor
-        )
-        print(f"shard bench check (tolerance {args.tolerance:.0%}):")
+        lines = check_sweep(baseline, fresh_reports, args.reuse_floor)
+        print("sweep bench check:")
         print("\n".join(lines))
-        if any(
-            "REGRESSION" in line or "FAILED" in line for line in lines
-        ):
-            print("FAILED: shard bench check", file=sys.stderr)
+        if any("FAILED" in line for line in lines):
+            print("FAILED: sweep bench check", file=sys.stderr)
             return 1
         print("OK")
         return 0

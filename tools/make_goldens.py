@@ -44,18 +44,9 @@ from repro.swarms.generators import (
 #: terminals (the seed never emitted them), the incremental pipeline's
 #: ``boundary_respliced`` audit events (diagnostics of *how* boundaries
 #: were maintained — full-rescan mode does no splicing, so they cannot be
-#: part of the trajectory comparison), and the planning executors'
-#: worker lifecycle telemetry (whether a worker died and was respawned
-#: mid-round must never change the trajectory — the equivalence suite
-#: pins exactly that).
+#: part of the trajectory comparison).
 ENGINE_EVENT_KINDS = frozenset(
-    {
-        "gathered",
-        "budget_exhausted",
-        "boundary_respliced",
-        "worker_failed",
-        "worker_respawned",
-    }
+    {"gathered", "budget_exhausted", "boundary_respliced"}
 )
 
 SCENARIOS = {

@@ -1,14 +1,14 @@
 """reprolint — project-specific static analysis for the repro codebase.
 
 The engine's whole value proposition is *bit-identical* behavior:
-goldens pin the seed's trajectories, sharded/serial/full-rescan planning
+goldens pin the seed's trajectories, incremental and full-rescan planning
 must agree exactly, and SSYNC runs must be reproducible from a seed.
-The dynamic guards (golden-equivalence suites, sharded==serial
+The dynamic guards (golden-equivalence suites, incremental==full-rescan
 differentials) can only catch a nondeterministic code path that
 misbehaves *on this machine, on this run*.  reprolint is the static
 counterpart: an AST-level analyzer that proves, at lint time, that
 engine code cannot depend on unseeded randomness, wall-clock time,
-unordered iteration, or mutable shared state in the sharded planner.
+unordered iteration, or mutable shared state in the per-run planner.
 
 Rule families (catalogue + rationale in ``docs/lint.md``):
 
@@ -19,7 +19,7 @@ Rule families (catalogue + rationale in ``docs/lint.md``):
 * **D3** — no unordered (set / ``dict.keys``) iteration feeding lists,
   event emission, or yields in the ordering-sensitive layers without an
   enclosing ``sorted()``.
-* **P1** — the sharded planner's purity contract: ``_plan_one`` and
+* **P1** — the per-run planner's purity contract: ``_plan_one`` and
   everything it transitively calls within ``core/`` must not write to
   ``self``, globals, or its shared-context arguments.
 * **F1** — facade discipline: no imports of the legacy per-baseline

@@ -55,8 +55,7 @@ class UnseededRandomRule(FileRule):
     <fn>`` of anything but ``Random``, module-level RNG singletons, and
     any touch of the global :data:`numpy.random` state.  Shared global
     RNG state makes trajectories depend on *call order across
-    subsystems* — exactly what the run-granular caches and sharded
-    planner reorder.
+    subsystems* — exactly what the run-granular caches reorder.
     """
 
     rule_id = "D1"
@@ -353,8 +352,7 @@ class UnorderedIterationRule(FileRule):
     into observable behavior.  CPython's int hashing keeps this stable
     *per build and insertion history*, which is exactly how such bugs
     pass goldens on CI and explode later (alternate interpreters, cell
-    types with randomized hashes, differently-ordered insertions on the
-    sharded path).  Wrap the iterable in ``sorted()`` or consume it
+    types with randomized hashes, differently-ordered insertions).  Wrap the iterable in ``sorted()`` or consume it
     order-insensitively.
 
     Detection is syntactic plus a one-pass local dataflow: set

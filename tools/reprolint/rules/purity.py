@@ -1,9 +1,13 @@
-"""P1 — purity of the sharded planner's per-run compute.
+"""P1 — purity of the run planner's per-run compute.
 
-``RunManager.plan`` shards ``_plan_one`` across an order-preserving
-``map`` executor (``cfg.shard_planning``); sharded == serial ==
-full-rescan bit-identity holds **by construction** only if
-``_plan_one`` is a pure function of the round's read-only context.  The
+``RunManager.plan`` plans every run with ``_plan_one`` against the
+round's read-only context, then reduces the results in run-id order.
+That reduce is the *only* place runs couple, which holds only if
+``_plan_one`` is a pure function of the context: a write there would
+let one run's plan depend on which runs were planned before it.  The
+explorer leans on the same purity — it plans once, then snapshots and
+restores the run manager around every activation-subset branch, which
+is sound only if planning leaves no hidden state behind.  The
 equivalence suite checks this dynamically on the scenarios it runs;
 this rule proves the write-freedom statically for *every* code path:
 ``_plan_one`` and everything it transitively calls within ``core/``
@@ -83,22 +87,15 @@ class _FuncInfo:
 
 
 class SharedStatePurityRule(ProjectRule):
-    """P1: the sharded planner's call graph must be write-free."""
+    """P1: the per-run planner's call graph must be write-free."""
 
     rule_id = "P1"
-    title = "shared-state write inside the sharded planner"
+    title = "shared-state write inside the per-run planner"
 
     def __init__(
         self,
         entries: Sequence[Tuple[str, str]] = (
             ("src/repro/core/runs.py", "RunManager._plan_one"),
-            # Worker-process entry points of the snapshot codec: a
-            # worker's planning path must be as write-free as the
-            # in-process one (its only sanctioned impurity is the
-            # executors' cached_decode boundary, which stays outside
-            # these call graphs).
-            ("src/repro/engine/snapshot.py", "decode_round_context"),
-            ("src/repro/engine/snapshot.py", "plan_shard"),
             # The explorer's state-key construction: a canonical key
             # must be a pure function of the checkpoint it summarizes —
             # a write here would let one branch leak into its siblings.
@@ -111,7 +108,6 @@ class SharedStatePurityRule(ProjectRule):
         ),
         follow_prefixes: Sequence[str] = (
             "src/repro/core/",
-            "src/repro/engine/snapshot.py",
             "src/repro/explore/",
             "src/repro/grid/canonical.py",
         ),
@@ -241,7 +237,7 @@ class SharedStatePurityRule(ProjectRule):
                     info.sf.rel,
                     getattr(sub, "lineno", node.lineno),
                     f"{info.qualname} (reached via {chain}) {what} — "
-                    f"breaks sharded==serial planning bit-identity",
+                    f"breaks planning's order independence",
                 )
             )
 
