@@ -1,0 +1,46 @@
+"""Golden trajectories of the non-FSYNC time models.
+
+``tests/data/golden_schedules.json`` (written by ``python
+tools/make_goldens.py schedules``) pins, for every activation policy,
+the fault layer, byzantine robots and async-lcm with and without
+staleness, the per-round state and event hashes of small capped runs
+under the grid, tolerant and async-greedy strategies, with the
+connectivity check on and off.  The determinism tests elsewhere only
+compare a run with itself; these rows catch a change that reorders one
+activation, fault or staleness draw.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import pytest
+
+from tools.make_goldens import SCHEDULE_SCENARIOS, run_schedule_scenario
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "golden_schedules.json"
+)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def test_every_row_has_a_scenario(golden):
+    assert sorted(golden) == sorted(SCHEDULE_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_SCENARIOS))
+def test_schedule_matches_golden(name, golden):
+    got = run_schedule_scenario(name)
+    gold = golden[name]
+    for key in ("rounds", "gathered", "terminal", "activations",
+                "byzantine_actions", "state_hashes"):
+        assert got[key] == gold[key], f"{name}: {key} diverged"
+    assert got["event_hashes"] == gold["event_hashes"], (
+        f"{name}: events diverged"
+    )

@@ -1,19 +1,30 @@
-"""Capture golden trajectories for the incremental-pipeline equivalence suite.
+"""Capture golden trajectories for the equivalence suites.
 
 Run from the repo root::
 
-    PYTHONPATH=src python tools/make_goldens.py
+    PYTHONPATH=src python tools/make_goldens.py             # trajectories
+    PYTHONPATH=src python tools/make_goldens.py schedules   # schedules
 
-Writes ``tests/data/golden_trajectories.json``: per scenario, the round
-count, a per-round hash of the swarm state, and a per-round hash of the
-controller events.  The committed file was generated from the *seed*
-implementation (commit aa9a9e6, full per-round rescans), so
-``tests/test_incremental_equivalence.py`` proves the incremental pipeline
-is bit-identical to the seed on every generator family.
+``trajectories`` writes ``tests/data/golden_trajectories.json``: per
+scenario, the round count, a per-round hash of the swarm state, and a
+per-round hash of the controller events.  The committed file was
+generated from the *seed* implementation (commit aa9a9e6, full per-round
+rescans), so ``tests/test_incremental_equivalence.py`` proves the
+incremental pipeline is bit-identical to the seed on every generator
+family.  Do not regenerate it: later event-schema changes make a fresh
+capture differ from the seed's.
 
 Engine-terminal events (``gathered`` / ``budget_exhausted``) are excluded
 from the event hashes: the seed never emitted them (the event-log bugfix
 added them), and they are derived from the trajectory anyway.
+
+``schedules`` writes ``tests/data/golden_schedules.json``: the same
+per-round state and event hashes for the non-FSYNC time models (SSYNC
+policies, faults, byzantine robots, async-lcm staleness) over small
+swarms with a round cap, plus each run's activation and byzantine
+counters and its terminal event.  ``tests/test_golden_schedules.py``
+replays every row, so a change that reorders one activation, fault or
+staleness draw fails a test instead of passing the determinism checks.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import sys
 # the shim's own behavior stays under test.
 from repro.core.algorithm import gather
 from repro.core.config import AlgorithmConfig
+from repro.engine.protocols import Scenario
 from repro.swarms.generators import (
     FAMILIES,
     comb,
@@ -124,19 +136,139 @@ def run_scenario(make_cells, cfg: AlgorithmConfig | None = None) -> dict:
     }
 
 
-def main() -> int:
-    out = {}
-    for name in sorted(SCENARIOS):
-        out[name] = run_scenario(SCENARIOS[name])
-        print(f"{name}: rounds={out[name]['rounds']}", flush=True)
+# ----------------------------------------------------------------------
+# Non-FSYNC schedules
+# ----------------------------------------------------------------------
+#: Scheduler settings of the schedule goldens: every activation policy,
+#: the fault layer, byzantine robots, and async-lcm with and without
+#: staleness.
+SCHEDULE_MODELS = {
+    "ssync_p05": dict(scheduler="ssync", activation_p=0.5),
+    "ssync_p1": dict(scheduler="ssync", activation_p=1.0),
+    "round_robin_k3": dict(
+        scheduler="ssync", activation="round_robin", rr_k=3
+    ),
+    "adversarial_k4": dict(
+        scheduler="ssync", activation="adversarial", k_fairness=4
+    ),
+    "faulty_sleep_crash": dict(
+        scheduler="ssync-faulty", sleep_rate=0.05, crash_rate=0.01
+    ),
+    "byzantine_02": dict(
+        scheduler="ssync", activation_p=0.9, byzantine_rate=0.2
+    ),
+    "async_lcm_d0": dict(
+        scheduler="async-lcm", staleness=0, activation_p=0.8
+    ),
+    "async_lcm_d2": dict(
+        scheduler="async-lcm", staleness=2, activation_p=0.8
+    ),
+}
+
+SCHEDULE_STRATEGIES = ("grid", "tolerant", "async_greedy")
+
+#: ``blob_30`` is where byzantine ``stale`` lies pass the legality
+#: checks and actually change what honest robots see.
+SCHEDULE_FAMILIES = {
+    "ring_20": Scenario(family="ring", n=16),
+    "blob_30": Scenario(family="blob", n=30, seed=5),
+    "spiral_19": Scenario(family="spiral", n=16),
+}
+
+#: Round cap of every schedule golden run.
+SCHEDULE_MAX_ROUNDS = 60
+
+#: The one event kind left out of schedule hashes: the incremental
+#: pipeline's splice audit (see :data:`ENGINE_EVENT_KINDS`).
+SCHEDULE_EXCLUDED_KINDS = frozenset({"boundary_respliced"})
+
+#: Engine terminal event kinds; each run ends with exactly one.
+TERMINAL_KINDS = ("gathered", "budget_exhausted", "connectivity_lost")
+
+SCHEDULE_SCENARIOS = {
+    f"{strategy}/{model}/{fam}/{'conn' if check else 'noconn'}": (
+        strategy, model, fam, check,
+    )
+    for strategy in SCHEDULE_STRATEGIES
+    for model in sorted(SCHEDULE_MODELS)
+    for fam in sorted(SCHEDULE_FAMILIES)
+    for check in (True, False)
+}
+
+
+def _round_event_hashes(events, rounds: int) -> list:
+    """Per-round digests of ``events`` (sorted within a round, like
+    :func:`_events_digest`), skipping :data:`SCHEDULE_EXCLUDED_KINDS`."""
+    lines: list = [[] for _ in range(rounds)]
+    for e in events:
+        if e.kind in SCHEDULE_EXCLUDED_KINDS or e.round_index >= rounds:
+            continue
+        lines[e.round_index].append(
+            f"{e.kind}:"
+            f"{sorted(i for i in e.data.items() if i[0] != 'run_id')!r}"
+        )
+    return [
+        hashlib.sha256("\n".join(sorted(row)).encode()).hexdigest()[:12]
+        for row in lines
+    ]
+
+
+def run_schedule_scenario(name: str) -> dict:
+    """Simulate one :data:`SCHEDULE_SCENARIOS` row; returns its record."""
+    from repro.api import simulate
+
+    strategy, model, fam, check = SCHEDULE_SCENARIOS[name]
+    snapshots: list = []
+    result = simulate(
+        SCHEDULE_FAMILIES[fam],
+        strategy=strategy,
+        seed=3,
+        max_rounds=SCHEDULE_MAX_ROUNDS,
+        check_connectivity=check,
+        on_round=lambda i, s: snapshots.append(_state_digest(s.cells)),
+        **SCHEDULE_MODELS[model],
+    )
+    terminals = [e.kind for e in result.events if e.kind in TERMINAL_KINDS]
+    return {
+        "rounds": result.rounds,
+        "gathered": result.gathered,
+        "terminal": terminals[-1],
+        "activations": result.activations,
+        "byzantine_actions": result.byzantine_actions,
+        "state_hashes": snapshots,
+        "event_hashes": _round_event_hashes(result.events, result.rounds),
+    }
+
+
+def _write(filename: str, out: dict) -> None:
     path = os.path.join(
-        os.path.dirname(__file__), "..", "tests", "data",
-        "golden_trajectories.json",
+        os.path.dirname(__file__), "..", "tests", "data", filename
     )
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
     print(f"wrote {os.path.normpath(path)}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    target = args[0] if args else "trajectories"
+    if target == "trajectories":
+        out = {}
+        for name in sorted(SCENARIOS):
+            out[name] = run_scenario(SCENARIOS[name])
+            print(f"{name}: rounds={out[name]['rounds']}", flush=True)
+        _write("golden_trajectories.json", out)
+    elif target == "schedules":
+        out = {name: run_schedule_scenario(name) for name in SCHEDULE_SCENARIOS}
+        _write("golden_schedules.json", out)
+    else:
+        print(
+            f"usage: make_goldens.py [trajectories|schedules], "
+            f"not {target!r}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
