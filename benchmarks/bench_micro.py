@@ -24,7 +24,7 @@ from repro.api import simulate
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.patterns import plan_merges
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.boundary import extract_boundaries
 from repro.grid.connectivity import is_connected
 from repro.grid.occupancy import SwarmState
@@ -168,7 +168,7 @@ def test_single_engine_round(benchmark):
     cells = random_blob(1500, 2)
 
     def one_round():
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(cells), GatherOnGrid(CFG), check_connectivity=False
         )
         engine.step()
@@ -190,7 +190,7 @@ def test_steady_state_round(benchmark, incremental):
     cfg = AlgorithmConfig(incremental=incremental)
 
     def setup():
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(cells), GatherOnGrid(cfg), check_connectivity=False
         )
         engine.step()  # prime caches / the seed's first full scans
@@ -213,7 +213,7 @@ def test_steady_state_round_ring(benchmark, incremental):
     cfg = AlgorithmConfig(incremental=incremental)
 
     def setup():
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(cells), GatherOnGrid(cfg), check_connectivity=False
         )
         for _ in range(10):
@@ -226,7 +226,7 @@ def test_steady_state_round_ring(benchmark, incremental):
 
 
 def _steady_state_ms(cells, incremental, *, warm, rounds):
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(cells),
         GatherOnGrid(AlgorithmConfig(incremental=incremental)),
         check_connectivity=False,

@@ -13,7 +13,7 @@ import sys
 
 from repro import SwarmState
 from repro.core import AlgorithmConfig, GatherOnGrid
-from repro.engine import FsyncEngine
+from repro.engine import RoundEngine
 from repro.swarms import (
     double_donut,
     line,
@@ -40,7 +40,7 @@ def main() -> None:
     cells = SHAPES[shape](size)
 
     ctrl = GatherOnGrid(AlgorithmConfig())
-    engine = FsyncEngine(SwarmState(cells), ctrl)
+    engine = RoundEngine(SwarmState(cells), ctrl)
 
     frame = 0
     while not engine.state.is_gathered() and frame < 4000:

@@ -35,9 +35,9 @@ from repro.core import AlgorithmConfig, GatherOnGrid, gather
 from repro.engine import (
     AsyncEngine,
     ConnectivityViolation,
-    FsyncEngine,
     GatherResult,
     NotGathered,
+    RoundEngine,
     RunResult,
     Scenario,
 )
@@ -74,7 +74,7 @@ __all__ = [
     "gather",
     "AsyncEngine",
     "ConnectivityViolation",
-    "FsyncEngine",
+    "RoundEngine",
     "GatherResult",
     "NotGathered",
     "SwarmState",

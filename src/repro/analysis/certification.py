@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.tables import format_table
 from repro.core.config import AlgorithmConfig
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.errors import InvariantError
 from repro.explore.driver import StateDag, explore
 from repro.explore.witness import Witness, build_witness, verify_witness
@@ -57,7 +57,7 @@ def _fsync_rounds(
     from repro.trace.replay import grid_controller_class
 
     controller = grid_controller_class(strategy)(cfg)
-    engine = FsyncEngine(SwarmState(list(cells)), controller)
+    engine = RoundEngine(SwarmState(list(cells)), controller)
     result = engine.run(max_rounds=budget)
     if not result.gathered:
         raise InvariantError(

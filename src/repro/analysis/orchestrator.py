@@ -584,7 +584,7 @@ def _run_grid_job_checkpointed(
 ) -> ScalingPoint:
     """Run one grid job under a checkpointing recorder, resuming from
     the job's last trace checkpoint when one exists."""
-    from repro.engine.scheduler import FsyncEngine
+    from repro.engine.scheduler import RoundEngine
     from repro.engine.termination import default_round_budget
     from repro.grid.occupancy import SwarmState
     from repro.swarms.generators import family
@@ -631,7 +631,7 @@ def _run_grid_job_checkpointed(
             "initial_diameter": diameter,
             "budget": budget,
         }
-        engine = FsyncEngine(
+        engine = RoundEngine(
             state,
             GatherOnGrid(job.cfg),
             check_connectivity=job.check_connectivity,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.boundary import outer_boundary
 from repro.grid.envelope import enclosed_area
 from repro.grid.occupancy import SwarmState
@@ -56,7 +56,7 @@ def track_potentials(
 
     state = SwarmState(cells)
     snap(state)
-    engine = FsyncEngine(
+    engine = RoundEngine(
         state,
         GatherOnGrid(cfg),
         on_round=lambda i, s: snap(s),

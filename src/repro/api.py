@@ -22,10 +22,14 @@ import time:
   ``async_greedy``, ``chain``, ``closed_chain``;
 * :data:`SCHEDULERS` — ``fsync`` (the paper's time model; also drives
   the bespoke self-clocked FSYNC loops of the Euclidean and chain
-  baselines), ``async`` (the fair sequential scheduler), and ``ssync``
+  baselines), ``async`` (the fair sequential scheduler), ``ssync``
   / ``ssync-faulty`` (semi-synchronous subset activation under a
-  k-fairness bound, optionally with seeded crash-stop and transient
-  sleep faults — see :mod:`repro.engine.ssync_scheduler`).
+  k-fairness bound, optionally with seeded crash-stop, transient
+  sleep and byzantine faults — see :mod:`repro.engine.ssync_scheduler`)
+  and ``async-lcm`` (non-atomic look-compute-move with bounded
+  staleness).  ``fsync``, ``ssync``, ``ssync-faulty`` and ``async-lcm``
+  drive grid-state programs through the one round loop,
+  :class:`repro.engine.scheduler.RoundEngine`.
 
 Adversarial scheduling, for example — any strategy, one keyword:
 
@@ -61,7 +65,6 @@ from repro.baselines.global_grid import GlobalVisionGatherer
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.tolerant import TolerantGatherOnGrid
-from repro.engine.async_lcm import AsyncLcmEngine
 from repro.engine.async_scheduler import AsyncEngine
 from repro.engine.events import EventLog
 from repro.engine.faults import FaultInjector
@@ -78,10 +81,9 @@ from repro.engine.protocols import (
     SteppedProgram,
     Strategy,
 )
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.engine.ssync_scheduler import (
     ActivationSchedule,
-    SsyncEngine,
     drive_stepped_ssync,
     make_policy,
 )
@@ -190,15 +192,64 @@ def _drive_stepped(
     )
 
 
+#: Seed salts keeping the activation-policy RNG, the fault RNG and the
+#: async-lcm staleness draws independent streams of one user-facing
+#: ``simulate(seed=...)``.
+_POLICY_SEED_SALT = 0x55AC
+_FAULT_SEED_SALT = 0xFA17
+_STALENESS_SEED_SALT = 0x5A1E
+
+
+def _drive_rounds(
+    program: Any,
+    ctx: SimContext,
+    scheduler_key: str,
+    schedule: Optional[ActivationSchedule] = None,
+    staleness: int = 0,
+) -> RunResult:
+    """Run a grid-state program through the one round loop
+    (:class:`RoundEngine`): FSYNC without a schedule, SSYNC / async-lcm
+    with one."""
+    seed = ctx.seed if ctx.seed is not None else 0
+    engine = RoundEngine(
+        program.state,
+        program.controller,
+        schedule,
+        staleness=staleness,
+        seed=seed ^ _STALENESS_SEED_SALT,
+        check_connectivity=program.check_connectivity,
+        track_boundary=ctx.track_boundary,
+        on_round=ctx.on_round,
+    )
+    res = engine.run(max_rounds=ctx.max_rounds)
+    faults = schedule.faults if schedule is not None else None
+    byzantine = faults is not None and faults.byzantine_rate > 0.0
+    extras_fn = getattr(program, "extras_fn", None)
+    return RunResult(
+        strategy="",
+        scheduler=scheduler_key,
+        gathered=res.gathered,
+        rounds=res.rounds,
+        robots_initial=res.robots_initial,
+        robots_final=res.robots_final,
+        metrics=res.metrics,
+        events=res.events,
+        final_state=res.final_state,
+        activations=engine.activations if schedule is not None else None,
+        byzantine_actions=engine.byzantine_actions if byzantine else None,
+        extras=dict(extras_fn()) if extras_fn else {},
+    )
+
+
 @register_scheduler
 class FsyncScheduler:
     """The paper's fully synchronous look-compute-move rounds.
 
     Drives either an engine-backed :class:`FsyncProgram` (grid
-    controllers via :class:`repro.engine.scheduler.FsyncEngine`) or a
-    bespoke self-clocked FSYNC loop (:class:`SteppedProgram`: the
-    Euclidean and chain baselines, which are FSYNC models over non-grid
-    state).
+    controllers via :class:`repro.engine.scheduler.RoundEngine` without
+    a schedule) or a bespoke self-clocked FSYNC loop
+    (:class:`SteppedProgram`: the Euclidean and chain baselines, which
+    are FSYNC models over non-grid state).
     """
 
     key = "fsync"
@@ -207,33 +258,8 @@ class FsyncScheduler:
 
     def drive(self, program: Any, ctx: SimContext) -> RunResult:
         if isinstance(program, FsyncProgram):
-            return self._drive_engine(program, ctx)
+            return _drive_rounds(program, ctx, self.key)
         return _drive_stepped(program, ctx, self.key)
-
-    def _drive_engine(
-        self, program: FsyncProgram, ctx: SimContext
-    ) -> RunResult:
-        engine = FsyncEngine(
-            program.state,
-            program.controller,
-            check_connectivity=program.check_connectivity,
-            track_boundary=ctx.track_boundary,
-            on_round=ctx.on_round,
-        )
-        res = engine.run(max_rounds=ctx.max_rounds)
-        extras = dict(program.extras_fn()) if program.extras_fn else {}
-        return RunResult(
-            strategy="",
-            scheduler=self.key,
-            gathered=res.gathered,
-            rounds=res.rounds,
-            robots_initial=res.robots_initial,
-            robots_final=res.robots_final,
-            metrics=res.metrics,
-            events=res.events,
-            final_state=res.final_state,
-            extras=extras,
-        )
 
 
 @register_scheduler
@@ -268,12 +294,6 @@ class AsyncScheduler:
             final_state=engine.state,
             activations=res.activations,
         )
-
-
-#: Seed salts keeping the activation-policy RNG and the fault RNG
-#: independent streams of one user-facing ``simulate(seed=...)``.
-_POLICY_SEED_SALT = 0x55AC
-_FAULT_SEED_SALT = 0xFA17
 
 
 class _SsyncSchedulerBase:
@@ -376,51 +396,35 @@ class _SsyncSchedulerBase:
         )
 
     def drive(self, program: Any, ctx: SimContext) -> RunResult:
+        return self._drive(program, ctx, staleness=0)
+
+    def _drive(
+        self, program: Any, ctx: SimContext, staleness: int
+    ) -> RunResult:
         schedule = self._build_schedule(ctx)
-        byzantine = (
-            schedule.faults is not None
-            and schedule.faults.byzantine_rate > 0.0
-        )
         if isinstance(program, (FsyncProgram, AsyncProgram)):
-            engine = SsyncEngine(
-                program.state,
-                program.controller,
-                schedule,
-                check_connectivity=program.check_connectivity,
-                track_boundary=ctx.track_boundary,
-                on_round=ctx.on_round,
-            )
-            res = engine.run(max_rounds=ctx.max_rounds)
-            extras_fn = getattr(program, "extras_fn", None)
-            return RunResult(
-                strategy="",
-                scheduler=self.key,
-                gathered=res.gathered,
-                rounds=res.rounds,
-                robots_initial=res.robots_initial,
-                robots_final=res.robots_final,
-                metrics=res.metrics,
-                events=res.events,
-                final_state=res.final_state,
-                activations=engine.activations,
-                byzantine_actions=(
-                    engine.byzantine_actions if byzantine else None
-                ),
-                extras=dict(extras_fn()) if extras_fn else {},
-            )
+            return _drive_rounds(program, ctx, self.key, schedule, staleness)
         if isinstance(program, SsyncSteppable):
-            if byzantine:
+            faults = schedule.faults
+            if faults is not None and faults.byzantine_rate > 0.0:
                 raise ValueError(
                     "byzantine_rate supports grid-state programs only "
                     "(stale-position perception needs the shared grid "
                     "snapshot); self-clocked programs accept "
                     "sleep_rate/crash_rate"
                 )
+            if staleness > 0:
+                raise ValueError(
+                    "async-lcm over self-clocked programs supports "
+                    "staleness=0 only (their step surface has no "
+                    "snapshot archive); grid-state strategies support "
+                    "any staleness bound"
+                )
             return drive_stepped_ssync(program, schedule, ctx, self.key)
         raise TypeError(
             f"program {type(program).__name__} does not support the "
-            f"SSYNC scheduler (needs FsyncProgram, AsyncProgram, or the "
-            f"ssync_roster/ssync_step surface)"
+            f"{self.key} scheduler (needs FsyncProgram, AsyncProgram, or "
+            f"the ssync_roster/ssync_step surface)"
         )
 
 
@@ -447,15 +451,11 @@ class SsyncFaultyScheduler(_SsyncSchedulerBase):
     default_sleep_rate = 0.05
 
 
-#: Salt for the async-lcm staleness draws — a third independent stream
-#: next to the activation-policy and fault streams.
-_STALENESS_SEED_SALT = 0x5A1E
-
-
 @register_scheduler
 class AsyncLcmScheduler(_SsyncSchedulerBase):
     """Non-atomic ASYNC: look, compute, and move decouple with bounded
-    staleness (:class:`repro.engine.async_lcm.AsyncLcmEngine`).
+    staleness (the view-age layer of
+    :class:`repro.engine.scheduler.RoundEngine`).
 
     Accepts every SSYNC option except ``byzantine_rate`` (stale
     perception is this model's native adversary) plus:
@@ -463,9 +463,8 @@ class AsyncLcmScheduler(_SsyncSchedulerBase):
     ``staleness``
         The staleness bound Δ (default 0): an activated robot computes
         on a snapshot up to Δ rounds old and its move lands up to Δ
-        rounds later.  Δ = 0 makes the engine step-identical to
-        ``ssync`` — with full activation, bit-identical to ``fsync``
-        (golden-pinned).
+        rounds later.  Δ = 0 is the plain ``ssync`` round — with full
+        activation, bit-identical to ``fsync`` (golden-pinned).
     """
 
     key = "async-lcm"
@@ -481,58 +480,16 @@ class AsyncLcmScheduler(_SsyncSchedulerBase):
 
     def drive(self, program: Any, ctx: SimContext) -> RunResult:
         staleness = ctx.options.pop("staleness", 0)
-        if not isinstance(staleness, int) or isinstance(staleness, bool):
+        if (
+            not isinstance(staleness, int)
+            or isinstance(staleness, bool)
+            or staleness < 0
+        ):
             raise ValueError(
                 f"staleness must be a non-negative integer round "
                 f"count, got {staleness!r}"
             )
-        if staleness < 0:
-            raise ValueError(
-                f"staleness must be a non-negative integer round "
-                f"count, got {staleness!r}"
-            )
-        schedule = self._build_schedule(ctx)
-        seed = ctx.seed if ctx.seed is not None else 0
-        if isinstance(program, (FsyncProgram, AsyncProgram)):
-            engine = AsyncLcmEngine(
-                program.state,
-                program.controller,
-                schedule,
-                staleness=staleness,
-                seed=seed ^ _STALENESS_SEED_SALT,
-                check_connectivity=program.check_connectivity,
-                track_boundary=ctx.track_boundary,
-                on_round=ctx.on_round,
-            )
-            res = engine.run(max_rounds=ctx.max_rounds)
-            extras_fn = getattr(program, "extras_fn", None)
-            return RunResult(
-                strategy="",
-                scheduler=self.key,
-                gathered=res.gathered,
-                rounds=res.rounds,
-                robots_initial=res.robots_initial,
-                robots_final=res.robots_final,
-                metrics=res.metrics,
-                events=res.events,
-                final_state=res.final_state,
-                activations=engine.activations,
-                extras=dict(extras_fn()) if extras_fn else {},
-            )
-        if isinstance(program, SsyncSteppable):
-            if staleness > 0:
-                raise ValueError(
-                    "async-lcm over self-clocked programs supports "
-                    "staleness=0 only (their step surface has no "
-                    "snapshot archive); grid-state strategies support "
-                    "any staleness bound"
-                )
-            return drive_stepped_ssync(program, schedule, ctx, self.key)
-        raise TypeError(
-            f"program {type(program).__name__} does not support the "
-            f"async-lcm scheduler (needs FsyncProgram, AsyncProgram, or "
-            f"the ssync_roster/ssync_step surface)"
-        )
+        return self._drive(program, ctx, staleness)
 
 
 # ----------------------------------------------------------------------

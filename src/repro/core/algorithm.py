@@ -11,7 +11,7 @@ predicates — see :mod:`repro.core.view` for the locality audit):
 3. **Start new runs** — every ``L`` rounds, robots at quasi-line endpoint
    corners (Start-A / Start-B) spawn new runs (Fig. 7).
 
-The controller plugs into :class:`repro.engine.FsyncEngine`.
+The controller plugs into :class:`repro.engine.RoundEngine`.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
-"""Simulation engines: FSYNC (paper's time model), ASYNC and SSYNC.
+"""Simulation engines: the synchronous round loop and the sequential
+ASYNC scheduler.
 
-The FSYNC engine implements the look-compute-move model of [CP04] as used by
-the paper: in every round all robots simultaneously take a snapshot, compute,
-and move; robots ending on the same cell merge.  The engine is algorithm-
-agnostic: any controller implementing :class:`Controller` can be simulated,
-which is how the core algorithm and the baselines share infrastructure.
+The round engine (:class:`RoundEngine`) implements the look-compute-move
+model of [CP04] as used by the paper: in every round the activated robots
+simultaneously take a snapshot, compute, and move; robots ending on the
+same cell merge.  Without an activation schedule every robot acts (FSYNC,
+the paper's time model); with one (:mod:`repro.engine.ssync_scheduler`)
+an adversary picks per-round subsets under a k-fairness bound (SSYNC),
+optionally with seeded faults (:mod:`repro.engine.faults`) and stale
+views (async-lcm).  The engine is algorithm-agnostic: any controller
+implementing :class:`Controller` can be simulated, which is how the core
+algorithm and the baselines share infrastructure.
 
 The ASYNC engine models the fair sequential scheduler (one robot at a
-time); the SSYNC engine (:mod:`repro.engine.ssync_scheduler`) activates
-adversarially chosen per-round subsets under a k-fairness bound, with
-optional seeded fault injection (:mod:`repro.engine.faults`).
+time).
 """
 
 from repro.engine.errors import (
@@ -27,12 +31,16 @@ from repro.engine.protocols import (
     SimContext,
     Strategy,
 )
-from repro.engine.scheduler import Controller, FsyncEngine, GatherResult
+from repro.engine.scheduler import (
+    Controller,
+    GatherResult,
+    RoundEngine,
+    TokenLedger,
+)
 from repro.engine.async_scheduler import AsyncController, AsyncEngine
 from repro.engine.ssync_scheduler import (
     ACTIVATION_POLICIES,
     ActivationSchedule,
-    SsyncEngine,
     make_policy,
 )
 from repro.engine.termination import default_round_budget, is_gathered
@@ -41,7 +49,6 @@ __all__ = [
     "ACTIVATION_POLICIES",
     "ActivationSchedule",
     "FaultInjector",
-    "SsyncEngine",
     "make_policy",
     "ConnectivityViolation",
     "NotGathered",
@@ -56,8 +63,9 @@ __all__ = [
     "SimContext",
     "Strategy",
     "Controller",
-    "FsyncEngine",
     "GatherResult",
+    "RoundEngine",
+    "TokenLedger",
     "AsyncController",
     "AsyncEngine",
     "default_round_budget",

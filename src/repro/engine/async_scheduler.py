@@ -86,7 +86,7 @@ class AsyncEngine:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
         if not is_connected(state.cells):
-            # Same contract as FsyncEngine — and the precondition of the
+            # Same contract as RoundEngine — and the precondition of the
             # per-activation connectivity certificate below, which is
             # only sound relative to a previously-connected swarm.
             raise ValueError("initial swarm must be connected (paper model)")
@@ -169,7 +169,7 @@ class AsyncEngine:
             self.step_round()
             gathered = is_gathered(self.state)
         # Terminal event, deduplicated across resumed runs exactly like
-        # the FSYNC engine's (see FsyncEngine.run).
+        # the round engine's (see RoundEngine.run).
         if self.state.version != self._terminal_version:
             self.events.emit(
                 self.round_index,

@@ -1,4 +1,4 @@
-"""SSYNC (semi-synchronous) scheduling with pluggable activation policies.
+"""SSYNC (semi-synchronous) activation: policies, fairness and faults.
 
 The paper proves its O(n) gathering bound in the fully synchronous FSYNC
 model, where *every* robot executes its look-compute-move cycle in every
@@ -10,8 +10,9 @@ what keeps the adversary honest: under a **k-fairness bound** every
 robot is activated at least once in any window of ``k`` consecutive
 rounds.
 
-This module is the engine layer of that model (the registry entries
-``ssync`` / ``ssync-faulty`` live in :mod:`repro.api`):
+This module is the activation layer of that model (the registry entries
+``ssync`` / ``ssync-faulty`` / ``async-lcm`` live in :mod:`repro.api`,
+the round loop in :mod:`repro.engine.scheduler`):
 
 * activation policies (:data:`ACTIVATION_POLICIES`) — ``uniform``
   (independent coin with probability ``p`` per robot-round),
@@ -25,18 +26,14 @@ This module is the engine layer of that model (the registry entries
   injection (:class:`repro.engine.faults.FaultInjector`), tracking
   per-robot activation streaks and crash state across token renames
   (merges).  Emits the ``activation`` / ``fault`` events;
-* :class:`SsyncEngine` — drives grid-state workloads (``plan_round``
-  controllers like the paper's algorithm, or per-robot ``activate``
-  controllers like the async greedy baseline) under the schedule, with
-  true per-robot identity tracked through moves and merges;
-* :func:`drive_stepped_ssync` — the same loop for self-clocked programs
-  (Euclidean go-to-center, the chain gatherers) that expose the
+* :func:`drive_stepped_ssync` — the SSYNC loop for self-clocked
+  programs (Euclidean go-to-center, the chain gatherers) that expose the
   ``ssync_roster`` / ``ssync_step`` surface.
 
 With activation probability 1.0 and no faults every robot is activated
-every round, and the engine's step is operation-for-operation the FSYNC
-step — trajectories are bit-identical to the ``fsync`` scheduler (the
-equivalence suite pins this).
+every round without a roster or a set being built, and the grid round
+is the FSYNC round — trajectories are bit-identical to the ``fsync``
+scheduler (the equivalence suite pins this).
 
 See ``docs/schedulers.md`` for the model semantics and how results
 under SSYNC relate to the paper's FSYNC claims.
@@ -59,19 +56,8 @@ from typing import (
 )
 
 from repro.engine.events import EventLog
-from repro.engine.faults import BYZANTINE_BEHAVIORS, FaultInjector
-from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.scheduler import GatherResult
-from repro.engine.termination import default_round_budget, is_gathered
-from repro.grid.boundary import outer_boundary
-from repro.grid.connectivity import (
-    connected_components,
-    is_connected,
-    locally_connected_after,
-)
-from repro.grid.envelope import enclosed_area
-from repro.grid.geometry import Cell, chebyshev
-from repro.grid.occupancy import SwarmState
+from repro.engine.faults import FaultInjector
+from repro.engine.metrics import MetricsLog
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +72,7 @@ class UniformActivation:
     """
 
     key = "uniform"
+    reads_hints = False
 
     def __init__(self, p: float = 0.5, seed: int = 0) -> None:
         if not 0.0 <= p <= 1.0:
@@ -94,6 +81,9 @@ class UniformActivation:
             )
         self.p = float(p)
         self.rng = random.Random(seed)
+
+    def everyone(self, round_index: int) -> bool:
+        return self.p >= 1.0
 
     def select(
         self,
@@ -114,11 +104,15 @@ class RoundRobinActivation:
     roster, but each round activates ~1/k of the swarm regardless)."""
 
     key = "round_robin"
+    reads_hints = False
 
     def __init__(self, k: int = 3, seed: int = 0) -> None:
         if k < 1:
             raise ValueError(f"round_robin class count must be >= 1, got {k}")
         self.k = int(k)
+
+    def everyone(self, round_index: int) -> bool:
+        return self.k == 1
 
     def select(
         self,
@@ -140,9 +134,13 @@ class AdversarialActivation:
     exactly how much the algorithm's progress argument leans on them."""
 
     key = "adversarial"
+    reads_hints = True
 
     def __init__(self, seed: int = 0) -> None:
         pass
+
+    def everyone(self, round_index: int) -> bool:
+        return False
 
     def select(
         self,
@@ -175,11 +173,15 @@ class ScriptedActivation:
     """
 
     key = "scripted"
+    reads_hints = False
 
     def __init__(self, schedule: Sequence = (), seed: int = 0) -> None:
         self.rounds: List[FrozenSet[int]] = [
             frozenset(int(t) for t in entry) for entry in schedule
         ]
+
+    def everyone(self, round_index: int) -> bool:
+        return round_index >= len(self.rounds)
 
     def select(
         self,
@@ -246,14 +248,20 @@ class ActivationSchedule:
     migrating both through the token renames that merges cause.
 
     Per round the driver calls :meth:`select` (decide who acts, emit
-    ``activation``/``fault`` events) and, after applying the round,
-    :meth:`commit` (advance streaks, migrate tokens).
+    ``activation``/``fault`` events) — or first :meth:`select_everyone`,
+    which settles a full-activation round without reading the roster —
+    and, after applying the round, :meth:`commit` (advance streaks,
+    migrate tokens).
 
     k-fairness: any robot whose streak reaches ``k_fairness - 1`` is
     force-activated, so no fault-free robot ever sleeps ``k_fairness``
     consecutive rounds.  Faults trump fairness — a robot hit by a sleep
     fault misses its round even if it was forced (the bound holds for
     the fault-free schedule; see docs/schedulers.md).
+
+    Streaks are stored only for robots that sat out (a missing token
+    has streak 0), so a full-activation round commits in O(1) and a
+    partial one in O(roster + merges).
     """
 
     def __init__(
@@ -274,8 +282,14 @@ class ActivationSchedule:
         #: Optional token -> extra-event-fields hook (the grid engine
         #: uses it to stamp crash events with the robot's cell).
         self.token_info: Optional[Callable[[Any], Dict[str, Any]]] = None
+        #: Streaks >= 1 only: the robots that sat out the last round
+        #: (and every round since their last activation).
         self._streak: Dict[Any, int] = {}
         self._crashed: Set[Any] = set()
+        #: The alive roster of the last :meth:`select`; ``None`` after a
+        #: :meth:`select_everyone` round (nobody alive sat out).
+        self._alive: Optional[List[Any]] = None
+        self._everyone = getattr(policy, "everyone", None)
 
     @property
     def crashed(self) -> FrozenSet[Any]:
@@ -286,6 +300,27 @@ class ActivationSchedule:
         """Rounds since ``token`` was last activated (0 if just active)."""
         return self._streak.get(token, 0)
 
+    def select_everyone(self, round_index: int, robots: int) -> bool:
+        """Settle a full-activation round without reading the roster.
+
+        When the policy answers "everyone" for this round and no fault
+        layer can subtract anybody, record the round (``robots`` alive
+        robots, all active, none forced) and return True; the caller
+        then passes ``None`` as the active set to :meth:`commit`.
+        Otherwise return False and leave the round to :meth:`select`.
+        """
+        if (
+            self.faults is not None
+            or self._everyone is None
+            or not self._everyone(round_index)
+        ):
+            return False
+        self._alive = None
+        self.events.emit(
+            round_index, "activation", active=robots, asleep=0, forced=[]
+        )
+        return True
+
     def select(
         self,
         round_index: int,
@@ -293,21 +328,25 @@ class ActivationSchedule:
         hints: FrozenSet[Any] = frozenset(),
     ) -> Set[Any]:
         """Pick this round's activation set from the full ``roster``."""
-        streak = self._streak
-        alive = [t for t in roster if t not in self._crashed]
-        for t in alive:
-            streak.setdefault(t, 0)
+        crashed = self._crashed
+        alive = [t for t in roster if t not in crashed]
+        self._alive = alive
+        alive_set = set(alive)
         chosen = self.policy.select(round_index, alive, hints)
-        forced = {
-            t
-            for t in alive
-            if streak[t] >= self.k_fairness - 1 and t not in chosen
-        }
-        active = (chosen & set(alive)) | forced
+        limit = self.k_fairness - 1
+        if limit <= 0:
+            forced = alive_set - chosen
+        else:
+            forced = {
+                t
+                for t, s in self._streak.items()
+                if s >= limit and t in alive_set and t not in chosen
+            }
+        active = (chosen & alive_set) | forced
         if self.faults is not None:
             sleeping, crashed_now = self.faults.draw(round_index, alive)
             for t in sorted(crashed_now):
-                self._crashed.add(t)
+                crashed.add(t)
                 info = self.token_info(t) if self.token_info else {}
                 self.events.emit(
                     round_index, "fault", fault="crash", robot=t, **info
@@ -329,345 +368,50 @@ class ActivationSchedule:
 
     def commit(
         self,
-        active: Set[Any],
+        active: Optional[Set[Any]],
         *,
         remap: Optional[Mapping[Any, Any]] = None,
         survivors: Optional[Iterable[Any]] = None,
     ) -> None:
         """Advance streaks after a round was applied.
 
-        ``remap`` renames tokens (merge victims map to their surviving
-        token; colliding streaks keep the minimum, and a crashed
-        constituent makes the survivor crashed — a composite containing
-        a crash-stopped robot cannot move).  ``survivors`` prunes
-        bookkeeping to the tokens still alive.
+        ``active`` is the set the round's :meth:`select` returned, or
+        ``None`` after :meth:`select_everyone`.  ``remap`` renames
+        tokens (merge victims map to their surviving token; colliding
+        streaks keep the minimum, and a crashed constituent makes the
+        survivor crashed — a composite containing a crash-stopped robot
+        cannot move).  ``survivors`` prunes bookkeeping to the tokens
+        still alive; drivers whose vanished tokens all appear in
+        ``remap`` need not pass it.
         """
-        new_streak: Dict[Any, int] = {}
-        for t, s in self._streak.items():
-            nt = remap.get(t, t) if remap else t
-            ns = 0 if t in active else s + 1
-            if nt in new_streak:
-                new_streak[nt] = min(new_streak[nt], ns)
-            else:
-                new_streak[nt] = ns
-        new_crashed = {
-            (remap.get(t, t) if remap else t) for t in self._crashed
+        streak = self._streak
+        crashed = self._crashed
+        # Alive robots outside the active set sat out: streak + 1.
+        # Crashed robots never act, so theirs grows every round.
+        new_streak: Dict[Any, int] = {
+            t: streak.get(t, 0) + 1 for t in crashed
         }
+        if self._alive is not None:
+            for t in self._alive:
+                if t not in active:
+                    new_streak[t] = streak.get(t, 0) + 1
+        if remap:
+            for old, survivor in remap.items():
+                old_streak = new_streak.pop(old, 0)
+                kept = new_streak.get(survivor)
+                if kept is not None and old_streak < kept:
+                    if old_streak:
+                        new_streak[survivor] = old_streak
+                    else:
+                        del new_streak[survivor]
+                if old in crashed:
+                    crashed.discard(old)
+                    crashed.add(survivor)
         if survivors is not None:
             alive = set(survivors)
             new_streak = {t: s for t, s in new_streak.items() if t in alive}
-            new_crashed &= alive
+            crashed &= alive
         self._streak = new_streak
-        self._crashed = new_crashed
-
-
-# ----------------------------------------------------------------------
-# The SSYNC engine for grid-state workloads
-# ----------------------------------------------------------------------
-class SsyncEngine:
-    """Drives a grid controller over a :class:`SwarmState` under an
-    :class:`ActivationSchedule`.
-
-    Accepts both controller shapes the repo has: ``plan_round``
-    controllers (the paper's :class:`~repro.core.algorithm.GatherOnGrid`,
-    the global-vision baseline) — the round's plan is computed as usual
-    and the moves of non-activated robots are dropped — and per-robot
-    ``activate`` controllers (the async greedy baseline) — every
-    activated robot computes its target against the round's *snapshot*,
-    then all moves apply simultaneously (the SSYNC reading of a rule
-    designed for sequential activation).
-
-    Robot identity: integer tokens assigned over the sorted initial
-    cells and followed through every move; merge groups keep the
-    smallest token.  This is what crash-stop faults and the k-fairness
-    streaks attach to.
-
-    The connectivity check and metrics mirror
-    :class:`repro.engine.scheduler.FsyncEngine` exactly, so a schedule
-    that activates everyone reproduces FSYNC bit-for-bit.  One deliberate
-    difference: under partial activation the paper's algorithm may
-    genuinely break connectivity — its safety argument assumes FSYNC
-    simultaneity — and under an *adversarial* scheduler that is an
-    expected experimental outcome, not a simulation bug.  The engine
-    therefore does not raise: it emits a ``connectivity_violation``
-    event, stops the run, and terminates the result with a
-    ``connectivity_lost`` event (``gathered=False``).  Pass
-    ``check_connectivity=False`` to measure degradation past the
-    breakage point instead.
-    """
-
-    def __init__(
-        self,
-        state: SwarmState,
-        controller: Any,
-        schedule: ActivationSchedule,
-        *,
-        check_connectivity: bool = True,
-        incremental_connectivity: bool = True,
-        track_boundary: bool = False,
-        gather_square: int = 2,
-        on_round: Optional[Callable[[int, SwarmState], None]] = None,
-    ) -> None:
-        if len(state) == 0:
-            raise ValueError("cannot simulate an empty swarm")
-        if not is_connected(state.cells):
-            raise ValueError("initial swarm must be connected (paper model)")
-        self.state = state
-        self.controller = controller
-        self.schedule = schedule
-        self.check_connectivity = check_connectivity
-        self.incremental_connectivity = incremental_connectivity
-        self.track_boundary = track_boundary
-        self.gather_square = gather_square
-        self.on_round = on_round
-        self.metrics = MetricsLog()
-        # Same shared-log adoption as FsyncEngine: controller events and
-        # the schedule's activation/fault events land in one place.
-        ctrl_events = getattr(controller, "events", None)
-        self.events = (
-            ctrl_events if isinstance(ctrl_events, EventLog) else EventLog()
-        )
-        schedule.events = self.events
-        schedule.token_info = self._token_info
-        cells = sorted(state.cells)
-        self._cell_of: Dict[int, Cell] = dict(enumerate(cells))
-        self._id_at: Dict[Cell, int] = {c: i for i, c in enumerate(cells)}
-        self._moved_last: Set[Cell] = set()
-        #: Position each surviving token held one round ago — what a
-        #: byzantine "stale" robot reports to every observer.
-        self._prev_cell_of: Dict[int, Cell] = dict(self._cell_of)
-        self.round_index = 0
-        self.activations = 0
-        #: Total byzantine misbehaviors drawn (one per alive byzantine
-        #: robot per round); surfaces as ``RunResult.byzantine_actions``.
-        self.byzantine_actions = 0
-        #: Set when the connectivity check trips; ends the run with a
-        #: ``connectivity_lost`` terminal event instead of raising.
-        self.connectivity_lost = False
-        self._terminal_version: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    def _token_info(self, token: int) -> Dict[str, Any]:
-        cell = self._cell_of.get(token)
-        return {"cell": cell} if cell is not None else {}
-
-    def _hints(self) -> FrozenSet[int]:
-        """Progress-carrier tokens for the adversarial policy: the grid
-        algorithm's runner robots when the controller exposes a run
-        manager, else whoever moved last round."""
-        run_manager = getattr(self.controller, "run_manager", None)
-        if run_manager is not None:
-            cells = {run.robot for run in run_manager.runs.values()}
-        else:
-            cells = self._moved_last
-        id_at = self._id_at
-        return frozenset(id_at[c] for c in cells if c in id_at)
-
-    def _byzantine_behaviors(self, r: int, roster) -> Dict[int, str]:
-        """This round's misbehavior per alive byzantine token (crash
-        trumps byzantine: a crashed robot stops acting, period)."""
-        faults = self.schedule.faults
-        if faults is None or faults.byzantine_rate <= 0.0:
-            return {}
-        crashed = self.schedule.crashed
-        return {
-            token: faults.byzantine_behavior(r, token)
-            for token in roster
-            if token not in crashed and faults.is_byzantine(token)
-        }
-
-    def _perceived_state(
-        self, byz_behaviors: Dict[int, str]
-    ) -> SwarmState:
-        """The state honest robots observe: each ``stale`` byzantine
-        robot is substituted back to its previous-round cell, in token
-        order, skipping any lie that is vacuous (it has not moved),
-        collides with a real robot, or would make the *perceived* swarm
-        disconnected — a visibly teleporting or detached robot would be
-        an illegal observation, not an adversarial one."""
-        occupied_view = set(self.state.cells)
-        substitutions: Dict[Cell, Cell] = {}
-        for token in sorted(byz_behaviors):
-            if byz_behaviors[token] != "stale":
-                continue
-            cur = self._cell_of[token]
-            prev = self._prev_cell_of.get(token, cur)
-            if prev == cur or prev in occupied_view:
-                continue
-            trial = (occupied_view - {cur}) | {prev}
-            if not is_connected(trial):
-                continue
-            occupied_view = trial
-            substitutions[cur] = prev
-        if not substitutions:
-            return self.state
-        perceived = self.state.copy()
-        perceived.apply_moves(substitutions)
-        return perceived
-
-    # ------------------------------------------------------------------
-    def step(self) -> int:
-        """Execute one SSYNC round; returns the number of merged robots."""
-        state = self.state
-        r = self.round_index
-        roster = sorted(self._cell_of)
-        active = self.schedule.select(r, roster, hints=self._hints())
-        self.activations += len(active)
-
-        byz_behaviors = self._byzantine_behaviors(r, roster)
-        perceived = (
-            self._perceived_state(byz_behaviors) if byz_behaviors else state
-        )
-        byz_cells = {self._cell_of[t] for t in byz_behaviors}
-
-        controller = self.controller
-        if hasattr(controller, "plan_round"):
-            planned = controller.plan_round(perceived, r)
-            active_cells = {self._cell_of[i] for i in active}
-            moves: Dict[Cell, Cell] = {
-                src: dst
-                for src, dst in planned.items()
-                if src in active_cells and src not in byz_cells
-            }
-        else:
-            moves = {}
-            for i in sorted(active):
-                if i in byz_behaviors:
-                    continue
-                robot = self._cell_of[i]
-                target = controller.activate(perceived, robot)
-                if target == robot:
-                    continue
-                if chebyshev(robot, target) > 1:
-                    raise ValueError(
-                        f"illegal ssync move {robot} -> {target}"
-                    )
-                moves[robot] = target
-        if byz_behaviors:
-            # A byzantine robot never follows the plan: ``stale`` and
-            # ``dead`` robots stand still (their planned moves were
-            # withheld above); an activated ``offplan`` robot hops to a
-            # seeded king-move neighbor of its own choosing.
-            faults = self.schedule.faults
-            for token in sorted(byz_behaviors):
-                if byz_behaviors[token] != "offplan" or token not in active:
-                    continue
-                cur = self._cell_of[token]
-                dx, dy = faults.byzantine_offset(r, token)
-                moves[cur] = (cur[0] + dx, cur[1] + dy)
-            self.byzantine_actions += len(byz_behaviors)
-            for behavior in BYZANTINE_BEHAVIORS:
-                robots = sorted(
-                    t for t, b in byz_behaviors.items() if b == behavior
-                )
-                if robots:
-                    self.events.emit(
-                        r, "byzantine", behavior=behavior, robots=robots
-                    )
-        merged = state.apply_moves(moves)
-        if hasattr(controller, "notify_applied"):
-            controller.notify_applied(state, r, moves, merged)
-
-        if self.check_connectivity:
-            # Same localized-proof-with-BFS-fallback as FsyncEngine.step
-            # (exactly one apply_moves since the last check) — but a
-            # violation ends the run as a measured outcome rather than
-            # raising; under an adversarial scheduler, breaking the
-            # algorithm's FSYNC safety argument is the experiment.
-            if not (
-                self.incremental_connectivity
-                and locally_connected_after(state.cells, state.last_changed)
-            ):
-                comps = connected_components(state.cells)
-                if len(comps) > 1:
-                    self.connectivity_lost = True
-                    self.events.emit(
-                        r, "connectivity_violation", components=len(comps)
-                    )
-
-        # Token migration: follow each robot through its applied move;
-        # robots landing on one cell merge, keeping the smallest token.
-        groups: Dict[Cell, List[int]] = {}
-        for token, cell in self._cell_of.items():
-            groups.setdefault(moves.get(cell, cell), []).append(token)
-        remap: Dict[int, int] = {}
-        new_cell_of: Dict[int, Cell] = {}
-        for cell, tokens in groups.items():
-            tokens.sort()
-            survivor = tokens[0]
-            new_cell_of[survivor] = cell
-            for other in tokens[1:]:
-                remap[other] = survivor
-        self._prev_cell_of = {t: self._cell_of[t] for t in new_cell_of}
-        self._cell_of = new_cell_of
-        self._id_at = {c: t for t, c in new_cell_of.items()}
-        self.schedule.commit(
-            active, remap=remap, survivors=new_cell_of.keys()
-        )
-        self._moved_last = set(moves.values())
-
-        boundary_len: Optional[int] = None
-        area: Optional[float] = None
-        if self.track_boundary:
-            ob = outer_boundary(state)
-            boundary_len = len(ob.sides)
-            area = enclosed_area(ob)
-        self.metrics.record(
-            RoundMetrics(
-                round_index=r,
-                robots=len(state),
-                merged=merged,
-                diameter=state.diameter_chebyshev(),
-                boundary_length=boundary_len,
-                enclosed_area=area,
-                active_runs=getattr(controller, "active_run_count", None),
-            )
-        )
-        if self.on_round is not None:
-            self.on_round(r, state)
-        self.round_index += 1
-        return merged
-
-    def run(self, max_rounds: Optional[int] = None) -> GatherResult:
-        """Run until gathered or the round budget is exhausted (same
-        budget and terminal-event conventions as the FSYNC engine)."""
-        n0 = len(self.state)
-        budget = (
-            max_rounds
-            if max_rounds is not None
-            else default_round_budget(n0)
-        )
-        gathered = is_gathered(self.state, self.gather_square)
-        while (
-            not gathered
-            and not self.connectivity_lost
-            and self.round_index < budget
-        ):
-            self.step()
-            gathered = is_gathered(self.state, self.gather_square)
-        if gathered:
-            terminal = "gathered"
-        elif self.connectivity_lost:
-            terminal = "connectivity_lost"
-        else:
-            terminal = "budget_exhausted"
-        if self.state.version != self._terminal_version:
-            self.events.emit(
-                self.round_index,
-                terminal,
-                rounds=self.round_index,
-                robots=len(self.state),
-            )
-            self._terminal_version = self.state.version
-        return GatherResult(
-            gathered=gathered,
-            rounds=self.round_index,
-            robots_initial=n0,
-            robots_final=len(self.state),
-            metrics=self.metrics,
-            events=self.events,
-            final_state=self.state,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -704,21 +448,24 @@ def drive_stepped_ssync(
     # Adversarial-policy hints: stepped programs have no run manager, so
     # the progress carriers are "whoever moved last round", computed from
     # the per-token positions (roster order matches view() order for
-    # every stepped program).
+    # every stepped program) — only for policies that read hints.
+    reads_hints = getattr(schedule.policy, "reads_hints", True)
     moved_last: frozenset = frozenset()
     while not done and rounds < budget:
         roster = list(program.ssync_roster())
-        positions = dict(zip(roster, program.view().cells))
+        if reads_hints:
+            positions = dict(zip(roster, program.view().cells))
         active = schedule.select(rounds, roster, hints=moved_last)
         activations += len(active)
         remap = program.ssync_step(rounds, active, metrics, events)
         after = list(program.ssync_roster())
-        after_positions = dict(zip(after, program.view().cells))
-        moved_last = frozenset(
-            t
-            for t in after
-            if t not in positions or positions[t] != after_positions[t]
-        )
+        if reads_hints:
+            after_positions = dict(zip(after, program.view().cells))
+            moved_last = frozenset(
+                t
+                for t in after
+                if t not in positions or positions[t] != after_positions[t]
+            )
         schedule.commit(active, remap=remap, survivors=after)
         if ctx.on_round is not None:
             ctx.on_round(rounds, program.view())

@@ -281,7 +281,7 @@ def _representative_round(phase: int, cfg: AlgorithmConfig) -> int:
 
 def _status_of(cells: Set[Cell], gather_square: int) -> str:
     """Terminal classification of a raw cell set — the same predicates,
-    in the same precedence, as ``SsyncEngine.run()``: the bounding-box
+    in the same precedence, as ``RoundEngine.run()``: the bounding-box
     gathering test wins over disconnection.  The two *can* coincide
     (e.g. two diagonal robots inside a 2x2 box are disconnected yet
     bbox-gathered); the engine reports such runs as ``gathered``, so

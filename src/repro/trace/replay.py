@@ -12,8 +12,8 @@ else (contours, start-site indexes, incremental caches) is a pure
 function of the cells, rebuilt bit-identically on demand (the
 equivalence suite pins incremental == full rescan).  So a checkpoint is
 tiny (:func:`controller_checkpoint`), and :func:`resume_engine` restores
-a :class:`~repro.engine.scheduler.FsyncEngine` from any checkpointed
-trace row that continues the original trajectory exactly.
+an FSYNC :class:`~repro.engine.scheduler.RoundEngine` from any
+checkpointed trace row that continues the original trajectory exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.runs import Run
 from repro.core.tolerant import TolerantGatherOnGrid
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 from repro.trace.recorder import TraceRow
 
@@ -56,7 +56,7 @@ def replay(
 ) -> List[frozenset]:
     """Run the algorithm for ``rounds`` rounds, returning per-round states."""
     states: List[frozenset] = []
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(initial_cells),
         GatherOnGrid(cfg),
         on_round=lambda i, s: states.append(s.frozen()),
@@ -139,14 +139,14 @@ def resume_engine(
     *,
     check_connectivity: bool = True,
     **engine_kwargs,
-) -> FsyncEngine:
-    """An engine continuing from a checkpointed trace row.
+) -> RoundEngine:
+    """An FSYNC engine continuing from a checkpointed trace row.
 
     The recorder's ``on_round`` hook fires after a round is applied and
     the run table finalized, so the row is post-round state and the
     resumed engine starts at ``row.round_index + 1``.  Callers resuming
     a budgeted run must pass the *original* ``max_rounds`` to
-    :meth:`~repro.engine.scheduler.FsyncEngine.run` — the default
+    :meth:`~repro.engine.scheduler.RoundEngine.run` — the default
     budget is derived from the current (already shrunk) robot count.
     """
     if row.checkpoint is None:
@@ -154,7 +154,7 @@ def resume_engine(
             f"trace row for round {row.round_index} carries no "
             f"checkpoint; resume needs a CheckpointRecorder trace"
         )
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(row.cells),
         restore_controller(row.checkpoint, cfg),
         check_connectivity=check_connectivity,

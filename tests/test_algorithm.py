@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.algorithm import GatherOnGrid, gather
 from repro.core.config import AlgorithmConfig
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.connectivity import is_connected
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import line, ring, solid_rectangle
@@ -46,7 +46,7 @@ class TestDeterminism:
     def test_same_input_same_history(self):
         hist1, hist2 = [], []
         for hist in (hist1, hist2):
-            engine = FsyncEngine(
+            engine = RoundEngine(
                 SwarmState(ring(14)),
                 GatherOnGrid(),
                 on_round=lambda i, s, h=hist: h.append(s.frozen()),
@@ -104,7 +104,7 @@ class TestInvariantsDuringGathering:
     )
     def test_robot_count_never_increases(self, cells):
         counts = []
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(cells),
             GatherOnGrid(),
             on_round=lambda i, s: counts.append(len(s)),
@@ -124,7 +124,7 @@ class TestInvariantsDuringGathering:
 
     def test_bounding_box_never_grows(self):
         boxes = []
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(ring(12)),
             GatherOnGrid(),
             on_round=lambda i, s: boxes.append(s.bounding_box()),

@@ -168,7 +168,7 @@ class TestIncrementalConnectivity:
 
     def test_disconnected_initial_swarm_rejected(self):
         # the certificate is only sound relative to a connected swarm, so
-        # (like FsyncEngine) disconnected input is rejected up front
+        # (like RoundEngine) disconnected input is rejected up front
         with pytest.raises(ValueError):
             AsyncEngine(
                 SwarmState([(0, 0), (1, 0), (10, 10), (11, 10)]),

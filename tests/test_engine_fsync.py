@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.errors import ConnectivityViolation, NotGathered
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 
 
@@ -36,14 +36,14 @@ class ScriptedController:
 class TestEngineSetup:
     def test_empty_swarm_rejected(self):
         with pytest.raises(ValueError):
-            FsyncEngine(SwarmState([]), StaticController())
+            RoundEngine(SwarmState([]), StaticController())
 
     def test_disconnected_swarm_rejected(self):
         with pytest.raises(ValueError):
-            FsyncEngine(SwarmState([(0, 0), (5, 5)]), StaticController())
+            RoundEngine(SwarmState([(0, 0), (5, 5)]), StaticController())
 
     def test_gathered_immediately(self):
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0)]), StaticController())
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0)]), StaticController())
         result = eng.run()
         assert result.gathered
         assert result.rounds == 0
@@ -52,21 +52,21 @@ class TestEngineSetup:
 class TestStep:
     def test_scripted_merge_counted(self):
         ctrl = ScriptedController([{(0, 0): (1, 0)}])
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
         merged = eng.step()
         assert merged == 1
         assert len(eng.state) == 2
 
     def test_notify_called_with_moves(self):
         ctrl = ScriptedController([{(0, 0): (1, 0)}])
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
         eng.step()
         assert ctrl.notifications == [(0, {(0, 0): (1, 0)}, 1)]
 
     def test_connectivity_violation_detected(self):
         # moving the middle robot away disconnects the line
         ctrl = ScriptedController([{(1, 0): (1, 1)}])
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
         with pytest.raises(ConnectivityViolation) as exc:
             eng.step()
         assert exc.value.round_index == 0
@@ -74,7 +74,7 @@ class TestStep:
 
     def test_connectivity_check_can_be_disabled(self):
         ctrl = ScriptedController([{(1, 0): (1, 1)}])
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState([(0, 0), (1, 0), (2, 0)]),
             ctrl,
             check_connectivity=False,
@@ -83,7 +83,7 @@ class TestStep:
 
     def test_metrics_recorded(self):
         ctrl = ScriptedController([{(0, 0): (1, 0)}])
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
         eng.step()
         assert len(eng.metrics) == 1
         row = eng.metrics[0]
@@ -92,7 +92,7 @@ class TestStep:
 
     def test_track_boundary_records_area(self):
         ctrl = StaticController()
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState([(0, 0), (1, 0), (2, 0)]),
             ctrl,
             track_boundary=True,
@@ -103,7 +103,7 @@ class TestStep:
 
     def test_on_round_callback(self):
         seen = []
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState([(0, 0), (1, 0), (2, 0)]),
             StaticController(),
             on_round=lambda i, s: seen.append((i, len(s))),
@@ -115,20 +115,20 @@ class TestStep:
 
 class TestRun:
     def test_budget_exhaustion(self):
-        eng = FsyncEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
+        eng = RoundEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
         result = eng.run(max_rounds=7)
         assert not result.gathered
         assert result.rounds == 7
 
     def test_budget_raise(self):
-        eng = FsyncEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
+        eng = RoundEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
         with pytest.raises(NotGathered):
             eng.run(max_rounds=3, raise_on_budget=True)
 
     def test_result_accounting(self):
         # after round 0 only 2 adjacent robots remain -> already gathered
         ctrl = ScriptedController([{(0, 0): (1, 0)}, {(1, 0): (2, 0)}])
-        eng = FsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
+        eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
         result = eng.run()
         assert result.gathered
         assert result.rounds == 1

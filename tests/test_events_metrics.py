@@ -48,11 +48,11 @@ class TestSharedEngineLog:
 
     def test_result_events_is_controller_log(self):
         from repro.core.algorithm import GatherOnGrid
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
         from repro.swarms.generators import ring
 
         ctrl = GatherOnGrid()
-        engine = FsyncEngine(SwarmState(ring(10)), ctrl)
+        engine = RoundEngine(SwarmState(ring(10)), ctrl)
         result = engine.run()
         assert result.events is ctrl.events  # one shared log
 
@@ -86,7 +86,7 @@ class TestSharedEngineLog:
 
     def test_controller_without_log_gets_fresh_one(self):
         from repro.engine.events import EventLog
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
 
         class Still:
             def plan_round(self, state, round_index):
@@ -95,7 +95,7 @@ class TestSharedEngineLog:
             def notify_applied(self, state, round_index, moves, merged):
                 pass
 
-        engine = FsyncEngine(SwarmState([(0, 0), (3, 0), (1, 0), (2, 0)]), Still())
+        engine = RoundEngine(SwarmState([(0, 0), (3, 0), (1, 0), (2, 0)]), Still())
         assert isinstance(engine.events, EventLog)
         result = engine.run(max_rounds=1)
         assert result.events.counts() == {"budget_exhausted": 1}
@@ -150,10 +150,10 @@ class TestTermination:
 class TestTerminalEventDedup:
     def test_rerun_without_progress_does_not_duplicate(self):
         from repro.core.algorithm import GatherOnGrid
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
         from repro.swarms.generators import ring
 
-        eng = FsyncEngine(SwarmState(ring(10)), GatherOnGrid())
+        eng = RoundEngine(SwarmState(ring(10)), GatherOnGrid())
         r1 = eng.run()
         assert r1.gathered
         r2 = eng.run()  # already gathered: no steps, no new terminal
@@ -161,10 +161,10 @@ class TestTerminalEventDedup:
 
     def test_resumed_run_logs_both_outcomes(self):
         from repro.core.algorithm import GatherOnGrid
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
         from repro.swarms.generators import ring
 
-        eng = FsyncEngine(SwarmState(ring(14)), GatherOnGrid())
+        eng = RoundEngine(SwarmState(ring(14)), GatherOnGrid())
         r1 = eng.run(max_rounds=2)
         assert not r1.gathered
         r2 = eng.run()  # resume with the default budget

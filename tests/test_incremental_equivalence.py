@@ -97,13 +97,13 @@ def test_full_connectivity_mode_identical():
     """The localized connectivity check never changes behavior: force the
     full BFS via the engine knob and compare a hole-bearing scenario."""
     from repro.core.algorithm import GatherOnGrid
-    from repro.engine.scheduler import FsyncEngine
+    from repro.engine.scheduler import RoundEngine
     from repro.grid.occupancy import SwarmState
     from repro.swarms.generators import ring
 
     def run(incremental_connectivity):
         ctrl = GatherOnGrid()
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(ring(10)),
             ctrl,
             incremental_connectivity=incremental_connectivity,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.geometry import chebyshev
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import double_donut, ring, spiral
@@ -25,7 +25,7 @@ CFG = AlgorithmConfig()
 def _simulate(cells, rounds):
     """Per-round snapshots of run positions: {run_id: [(round, robot)]}."""
     ctrl = GatherOnGrid(CFG)
-    engine = FsyncEngine(SwarmState(cells), ctrl)
+    engine = RoundEngine(SwarmState(cells), ctrl)
     tracks = {}
     for i in range(rounds):
         if engine.state.is_gathered():
@@ -71,7 +71,7 @@ def test_invariant4_sequent_spacing(cells):
     """Lemma 3.4: same-direction runs on one contour never crowd below the
     viewing distance for long (the follower stops within one round)."""
     ctrl = GatherOnGrid(CFG)
-    engine = FsyncEngine(SwarmState(cells), ctrl)
+    engine = RoundEngine(SwarmState(cells), ctrl)
     from repro.grid.ring import RingSet
 
     violations = 0
@@ -106,7 +106,7 @@ def test_invariant6_good_pairs_enable_merges():
     """Lemma 3.6 + Lemma 2a: every simulation phase that starts runs on a
     mergeless ring ends in a merge (good pairs deliver)."""
     ctrl = GatherOnGrid(CFG)
-    engine = FsyncEngine(SwarmState(ring(24)), ctrl)
+    engine = RoundEngine(SwarmState(ring(24)), ctrl)
     while not engine.state.is_gathered() and engine.round_index < 2000:
         engine.step()
     assert engine.state.is_gathered()

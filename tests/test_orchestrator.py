@@ -243,7 +243,7 @@ class TestCheckpointResume:
 
     def test_resume_engine_reproduces_tail(self):
         from repro.core.algorithm import GatherOnGrid
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
         from repro.grid.occupancy import SwarmState
         from repro.swarms.generators import ring
         from repro.trace.recorder import CheckpointRecorder, read_trace
@@ -267,7 +267,7 @@ class TestCheckpointResume:
             recorder(i, s)
             full.append((i, s.frozen()))
 
-        engine = FsyncEngine(SwarmState(ring(24)), ctrl, on_round=hook)
+        engine = RoundEngine(SwarmState(ring(24)), ctrl, on_round=hook)
         result = engine.run()
         assert result.gathered
 

@@ -261,11 +261,11 @@ class TestMergeCacheRunGranular:
         checking the cache against a full rebuild every round."""
         import repro.core.patterns as P
         from repro.core.algorithm import GatherOnGrid
-        from repro.engine.scheduler import FsyncEngine
+        from repro.engine.scheduler import RoundEngine
 
         monkeypatch.setattr(P, "_RUN_COST_FACTOR", factor)
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(set(cells)), ctrl, check_connectivity=False
         )
         for _ in range(steps):

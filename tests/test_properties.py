@@ -19,7 +19,7 @@ from repro.core.algorithm import GatherOnGrid, gather
 from repro.core.config import AlgorithmConfig
 from repro.core.patterns import merge_move_for, plan_merges
 from repro.core.view import LocalView
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.connectivity import is_connected
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import random_blob, random_tree
@@ -54,7 +54,7 @@ def test_gathers_with_connectivity_every_round(cells):
 @given(cells=connected_swarms)
 def test_robot_count_monotone_nonincreasing(cells):
     counts = []
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(cells),
         GatherOnGrid(),
         on_round=lambda i, s: counts.append(len(s)),
@@ -76,7 +76,7 @@ def test_linear_round_budget(cells):
 def test_determinism(cells):
     h1, h2 = [], []
     for h in (h1, h2):
-        engine = FsyncEngine(
+        engine = RoundEngine(
             SwarmState(cells),
             GatherOnGrid(),
             on_round=lambda i, s, hh=h: hh.append(s.frozen()),
@@ -225,7 +225,7 @@ def test_full_activation_script_is_fsync(cells):
 
     cells = sorted(cells)
     frames_f, frames_s = [], []
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(cells),
         GatherOnGrid(),
         on_round=lambda i, s: frames_f.append(tuple(sorted(s.cells))),
@@ -253,7 +253,7 @@ def test_trace_replay_roundtrip(cells):
     from repro.trace.replay import verify_trace
 
     buf = io.StringIO()
-    engine = FsyncEngine(
+    engine = RoundEngine(
         SwarmState(cells), GatherOnGrid(), on_round=TraceRecorder(buf)
     )
     for _ in range(25):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.boundary import extract_boundaries
 from repro.grid.occupancy import SwarmState
 from repro.grid.ring import RingSet
@@ -204,7 +204,7 @@ class TestTrajectoryEquivalence:
         cells = family(fam, int(n))
         rs = RingSet.from_cells(set(cells))
         ctrl = GatherOnGrid(AlgorithmConfig())
-        eng = FsyncEngine(SwarmState(cells), ctrl)
+        eng = RoundEngine(SwarmState(cells), ctrl)
         rounds = 0
         while not eng.state.is_gathered() and rounds < 200:
             eng.step()

@@ -4,7 +4,7 @@ from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.quasiline import run_start_sites
 from repro.core.runs import RunManager
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 from repro.grid.ring import RingSet
 from repro.swarms.generators import ring
@@ -100,7 +100,7 @@ class TestRunLifecycle:
     def test_runs_advance_one_robot_per_round(self):
         cells = ring(16)
         ctrl = GatherOnGrid(CFG)
-        engine = FsyncEngine(SwarmState(cells), ctrl)
+        engine = RoundEngine(SwarmState(cells), ctrl)
         engine.step()
         pos0 = {r.run_id: r.robot for r in ctrl.run_manager.runs.values()}
         engine.step()
@@ -114,7 +114,7 @@ class TestRunLifecycle:
     def test_folds_happen_on_mergeless_ring(self):
         cells = ring(16)
         ctrl = GatherOnGrid(CFG)
-        engine = FsyncEngine(SwarmState(cells), ctrl)
+        engine = RoundEngine(SwarmState(cells), ctrl)
         for _ in range(3):
             engine.step()
         assert len(ctrl.events.of_kind("fold")) >= 1
@@ -123,7 +123,7 @@ class TestRunLifecycle:
         # run the full algorithm; every terminated run must carry a reason
         cells = ring(10)
         ctrl = GatherOnGrid(CFG)
-        engine = FsyncEngine(SwarmState(cells), ctrl)
+        engine = RoundEngine(SwarmState(cells), ctrl)
         for _ in range(10):
             if engine.state.is_gathered():
                 break
@@ -140,7 +140,7 @@ class TestRunLifecycle:
     def test_run_ids_unique_and_monotone(self):
         cells = ring(30)
         ctrl = GatherOnGrid(CFG)
-        engine = FsyncEngine(SwarmState(cells), ctrl)
+        engine = RoundEngine(SwarmState(cells), ctrl)
         seen = set()
         for _ in range(50):
             if engine.state.is_gathered():
@@ -159,7 +159,7 @@ class TestRunPassing:
         must let them coexist instead of mutually terminating."""
         cells = ring(24)
         ctrl = GatherOnGrid(CFG)
-        engine = FsyncEngine(SwarmState(cells), ctrl)
+        engine = RoundEngine(SwarmState(cells), ctrl)
         # Start-B corners launch opposite-direction pairs; run until the
         # first merge: no run may die via 'run_saw_sequent' with an
         # opposite-direction partner (only same-direction crowding counts).

@@ -28,7 +28,7 @@ from repro.api import simulate
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.engine.protocols import Scenario, SimContext
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.engine.termination import default_round_budget
 from repro.grid.occupancy import SwarmState
 from repro.service.app import (
@@ -523,7 +523,7 @@ def interrupt_grid_run(registry, rid, params, rounds, every):
             every=every,
         )
         recorder._wrote_header = True
-        engine = FsyncEngine(state, controller, on_round=recorder)
+        engine = RoundEngine(state, controller, on_round=recorder)
         for _ in range(rounds):
             engine.step()
     return meta

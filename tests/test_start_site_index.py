@@ -17,7 +17,7 @@ import pytest
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.quasiline import StartSiteIndex, run_start_sites
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 from repro.grid.ring import RingSet
 from repro.swarms.generators import family, ring, solid_rectangle
@@ -58,7 +58,7 @@ class TestEngineDifferential:
     )
     def test_index_matches_full_scan(self, fam, n):
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(family(fam, n)), ctrl, check_connectivity=False
         )
         compared = 0
@@ -124,7 +124,7 @@ class TestRingSetRepair:
         """Marks accumulate across updates between queries (the lazy
         flush path) and across saturation of runner-dense contours."""
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(ring(16)), ctrl, check_connectivity=False
         )
         pipe = ctrl._pipeline
@@ -159,7 +159,7 @@ class TestOrderLabels:
 
     def test_single_descent_after_many_splices(self):
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(ring(24)), ctrl, check_connectivity=False
         )
         pipe = ctrl._pipeline
@@ -210,7 +210,7 @@ class TestOrderLabels:
 
         monkeypatch.setattr(R, "_ORDER_GAP", 1)
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(ring(24)), ctrl, check_connectivity=False
         )
         pipe = ctrl._pipeline
@@ -226,7 +226,7 @@ class TestOrderLabels:
         """Sorting heads by the (wrap-split) label key reproduces the
         canonical robot cycle order — the property sites() relies on."""
         ctrl = GatherOnGrid(CFG)
-        eng = FsyncEngine(
+        eng = RoundEngine(
             SwarmState(ring(24)), ctrl, check_connectivity=False
         )
         pipe = ctrl._pipeline

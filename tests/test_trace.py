@@ -4,7 +4,7 @@ import io
 import threading
 
 from repro.core.algorithm import GatherOnGrid
-from repro.engine.scheduler import FsyncEngine
+from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import ring
 from repro.trace.recorder import TraceRecorder, load_trace
@@ -15,7 +15,7 @@ from repro.trace.tail import follow_rounds
 def record(cells, rounds):
     buf = io.StringIO()
     rec = TraceRecorder(buf, meta={"shape": "test"})
-    engine = FsyncEngine(SwarmState(cells), GatherOnGrid(), on_round=rec)
+    engine = RoundEngine(SwarmState(cells), GatherOnGrid(), on_round=rec)
     for _ in range(rounds):
         if engine.state.is_gathered():
             break
