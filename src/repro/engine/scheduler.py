@@ -354,16 +354,14 @@ class RoundEngine:
         ):
             self.activations += len(ledger)
             return None
+        # Every token left in the busy map lands this round or later:
+        # its cycle is still in flight, so it cannot start a new one.
         active = schedule.select(
             r,
             ledger.roster(),
             hints=self._hints() if self._reads_hints else frozenset(),
+            busy=self._busy_until,
         )
-        # Busy robots' cycles are still in flight: their activation is a
-        # no-op, and it does not count toward the activation total.
-        if self._busy_until:
-            busy = self._busy_until
-            active = {t for t in active if busy.get(t, -1) < r}
         self.activations += len(active)
         return active
 

@@ -45,6 +45,7 @@ import random
 from typing import (
     Any,
     Callable,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -326,8 +327,14 @@ class ActivationSchedule:
         round_index: int,
         roster: Sequence[Any],
         hints: FrozenSet[Any] = frozenset(),
+        busy: Container[Any] = (),
     ) -> Set[Any]:
-        """Pick this round's activation set from the full ``roster``."""
+        """Pick this round's activation set from the full ``roster``.
+
+        ``busy`` holds robots whose previous cycle is still in flight
+        (async-lcm): they cannot start a new one, so they leave the
+        active set before the ``activation`` event counts it.
+        """
         crashed = self._crashed
         alive = [t for t in roster if t not in crashed]
         self._alive = alive
@@ -357,6 +364,8 @@ class ActivationSchedule:
                     round_index, "fault", fault="sleep", robots=slept
                 )
             active -= sleeping | crashed_now
+        if busy:
+            active = {t for t in active if t not in busy}
         self.events.emit(
             round_index,
             "activation",

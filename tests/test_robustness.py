@@ -119,6 +119,34 @@ class TestAsyncLcmAnchor:
         )
         assert stale.trajectory != atomic.trajectory
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(scheduler="ssync", activation_p=0.6),
+            dict(scheduler="ssync", activation_p=1.0),
+            dict(scheduler="ssync-faulty", crash_rate=0.02),
+            dict(scheduler="async-lcm", staleness=0, activation_p=0.8),
+            dict(scheduler="async-lcm", staleness=3, activation_p=0.8),
+            dict(scheduler="async-lcm", staleness=2, activation_p=1.0),
+        ],
+        ids=["ssync", "ssync-full", "faulty", "lcm-0", "lcm-3", "lcm-2-full"],
+    )
+    def test_activation_events_sum_to_activations(self, options):
+        # Robots whose async-lcm cycle is still in flight do not start a
+        # new one: the activation events must not count them either.
+        result = simulate(
+            ring(16), seed=1, check_connectivity=False, max_rounds=300,
+            **options,
+        )
+        events = result.events.of_kind("activation")
+        assert len(events) == result.rounds
+        assert sum(e.data["active"] for e in events) == result.activations
+        robots = [result.robots_initial] + [m.robots for m in result.metrics]
+        for event in events:
+            assert len(event.data["forced"]) <= event.data["active"]
+            alive = event.data["active"] + event.data["asleep"]
+            assert alive <= robots[event.round_index]
+
     def test_steppable_programs_reject_positive_staleness(self):
         scn = STRATEGIES["euclidean"].compare_scenario(8)
         with pytest.raises(ValueError, match="staleness=0 only"):
