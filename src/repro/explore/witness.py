@@ -4,17 +4,18 @@ A path through the exploration DAG is an *abstract* schedule — per-round
 activation choices over canonical frames.  :func:`build_witness` turns
 it back into a concrete one: it re-drives the grid controller from the
 real initial cells, maps each canonical choice through the accumulated
-translation offsets, and follows robot identity with the engine's exact
-token rules (integer tokens over the sorted initial cells; merge groups
-keep the smallest).  The result is a per-round list of activated tokens
-that the stock SSYNC scheduler replays bit-identically via the
-``scripted`` activation policy (see
+translation offsets, and follows robot identity with the engine's own
+:class:`~repro.engine.scheduler.TokenLedger` (integer tokens over the
+sorted initial cells; merge groups keep the smallest).  The result is a
+per-round list of activated tokens that the stock SSYNC scheduler
+replays bit-identically via the ``scripted`` activation policy (see
 :func:`repro.trace.replay.replay_schedule`).
 
-Fairness accounting rides along: the witness tracks every token's
-activation streak with the engine's own commit semantics and reports
-``fairness_k`` — the smallest ``k_fairness`` under which the stock
-schedule replays the witness *without* force-activating anybody.  A
+Fairness accounting rides along: the witness feeds its schedule through
+an :class:`~repro.engine.ssync_scheduler.ActivationSchedule`, whose
+streak bookkeeping is the engine's, and reports ``fairness_k`` — the
+smallest ``k_fairness`` under which the stock schedule replays the
+witness *without* force-activating anybody.  A
 connectivity witness with ``fairness_k = K`` is a constructive proof
 that a K-fair SSYNC adversary can break the algorithm's safety.
 
@@ -28,9 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import AlgorithmConfig
+from repro.engine.scheduler import TokenLedger
+from repro.engine.ssync_scheduler import ActivationSchedule, ScriptedActivation
 from repro.errors import InvariantError
 from repro.explore.driver import Edge, StateDag
 from repro.grid.geometry import Cell
@@ -93,8 +96,11 @@ def build_witness(
     state = SwarmState(list(dag.initial_cells))
     ox, oy = dag.root_offset
 
-    cell_of: Dict[int, Cell] = dict(enumerate(sorted(dag.initial_cells)))
-    streak: Dict[int, int] = {t: 0 for t in cell_of}
+    ledger = TokenLedger(dag.initial_cells)
+    script = ScriptedActivation()
+    # A fairness bound no streak can reach within the path: nobody is
+    # forced, so the streaks measure what the witness itself needs.
+    activation = ActivationSchedule(script, k_fairness=len(edges) + 2)
     max_idle = 0
 
     schedule: List[Tuple[int, ...]] = []
@@ -109,36 +115,21 @@ def build_witness(
                 f"round-{round_index} plan {sorted(planned)} — the DAG "
                 f"and the concrete replay disagree"
             )
-        active = tuple(
-            sorted(t for t, c in cell_of.items() if c in chosen)
-        )
-        idle = [streak[t] for t in sorted(cell_of) if t not in active]
+        active = frozenset(ledger.id_at[c] for c in chosen)
+        roster = ledger.roster()
+        idle = [activation.streak_of(t) for t in roster if t not in active]
         if idle:
             max_idle = max(max_idle, max(idle))
-        schedule.append(active)
+        schedule.append(tuple(sorted(active)))
         choices.append(tuple(sorted(chosen)))
+        script.rounds.append(active)
+        selected = activation.select(round_index, roster)
 
         moves = {c: planned[c] for c in sorted(chosen)}
         merged = state.apply_moves(moves)
         controller.notify_applied(state, round_index, moves, merged)
         rows.append(tuple(sorted(state.cells)))
-
-        # Token migration and streak commit, mirroring the engine.
-        groups: Dict[Cell, List[int]] = {}
-        for token, cell in cell_of.items():
-            groups.setdefault(moves.get(cell, cell), []).append(token)
-        new_cell_of: Dict[int, Cell] = {}
-        new_streak: Dict[int, int] = {}
-        for cell, tokens in sorted(groups.items()):
-            tokens.sort()
-            survivor = tokens[0]
-            new_cell_of[survivor] = cell
-            merged_streaks = [
-                0 if t in active else streak[t] + 1 for t in tokens
-            ]
-            new_streak[survivor] = min(merged_streaks)
-        cell_of = new_cell_of
-        streak = new_streak
+        activation.commit(selected, remap=ledger.apply(moves))
 
         ex, ey = edge.offset
         ox, oy = ox + ex, oy + ey
