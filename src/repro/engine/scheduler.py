@@ -163,30 +163,30 @@ class TokenLedger:
         ``{vanished token: surviving token}``."""
         id_at = self.id_at
         cell_of = self.cell_of
+        # Lift every mover first, so a target vacated this round reads
+        # as empty and only a robot that stayed put can be found there.
+        movers = [(id_at.pop(src), src, dst) for src, dst in moves.items()]
         prev: Dict[int, Cell] = {}
-        arrivals: Dict[Cell, List[int]] = {}
-        for src, dst in moves.items():
-            token = id_at.pop(src)
-            prev[token] = src
-            group = arrivals.get(dst)
-            if group is None:
-                arrivals[dst] = [token]
-            else:
-                group.append(token)
         remap: Dict[int, int] = {}
-        for dst, group in arrivals.items():
-            staying = id_at.get(dst)
-            if staying is not None:
-                group.append(staying)
-            survivor = min(group) if len(group) > 1 else group[0]
-            id_at[dst] = survivor
-            cell_of[survivor] = dst
-            if len(group) > 1:
-                for token in group:
-                    if token != survivor:
-                        del cell_of[token]
-                        prev.pop(token, None)
-                        remap[token] = survivor
+        for token, src, dst in movers:
+            other = id_at.get(dst)
+            if other is None or token < other:
+                id_at[dst] = token
+                cell_of[token] = dst
+                prev[token] = src
+                if other is not None:
+                    del cell_of[other]
+                    prev.pop(other, None)
+                    remap[other] = token
+            else:
+                del cell_of[token]
+                remap[token] = other
+        # A robot that lost to a later, smaller arrival was renamed to a
+        # token that vanished in turn; follow it to the final survivor.
+        for old, new in remap.items():
+            while new in remap:
+                new = remap[new]
+            remap[old] = new
         self.prev_cell = prev
         return remap
 
@@ -349,10 +349,9 @@ class RoundEngine:
         """This round's active tokens; ``None`` means every robot."""
         schedule = self.schedule
         ledger = self.ledger
-        if not self._busy_until and schedule.select_everyone(
-            r, len(ledger)
-        ):
-            self.activations += len(ledger)
+        robots = len(ledger.cell_of)
+        if not self._busy_until and schedule.select_everyone(r, robots):
+            self.activations += robots
             return None
         # Every token left in the busy map lands this round or later:
         # its cycle is still in flight, so it cannot start a new one.

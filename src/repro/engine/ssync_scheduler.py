@@ -395,6 +395,8 @@ class ActivationSchedule:
         """
         streak = self._streak
         crashed = self._crashed
+        if self._alive is None and not streak and not crashed:
+            return  # a full-activation round leaves every streak at 0
         # Alive robots outside the active set sat out: streak + 1.
         # Crashed robots never act, so theirs grows every round.
         new_streak: Dict[Any, int] = {

@@ -146,6 +146,15 @@ class TestTokenLedger:
         assert ledger.id_at == {(1, 0): 0}
         assert ledger.prev_cell == {0: (0, 0)}
 
+    def test_later_smaller_arrivals_rename_to_the_final_survivor(self):
+        ledger = TokenLedger([(0, 0), (0, 1), (1, 1), (2, 1)])
+        # token 2 stays on (1, 1); 3, then 1, then 0 land on it
+        remap = ledger.apply(
+            {(2, 1): (1, 1), (0, 1): (1, 1), (0, 0): (1, 1)}
+        )
+        assert remap == {1: 0, 2: 0, 3: 0}
+        assert ledger.cell_of == {0: (1, 1)}
+
     def test_swap_into_vacated_cells_is_no_merge(self):
         ledger = TokenLedger([(0, 0), (1, 0)])
         remap = ledger.apply({(0, 0): (0, 1), (1, 0): (0, 0)})
