@@ -8,14 +8,17 @@ four operations that dominate a simulation's profile.
 at the repo root: the steady-state per-round cost of the linked-ring
 incremental pipeline vs full rescans on contour-dominated (ring) and
 blob instances, so the performance trajectory stays machine-readable
-across PRs.  ``test_sweep_dispatch_report`` writes ``BENCH_sweep.json``:
+across PRs, and the per-round cost of full-activation ``ssync`` and
+``async-lcm`` gathers relative to ``fsync``.  ``test_sweep_dispatch_report`` writes ``BENCH_sweep.json``:
 the sweep orchestrator's pool-reuse win.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -239,10 +242,62 @@ def _steady_state_ms(cells, incremental, *, warm, rounds):
     return (time.perf_counter() - t0) / rounds * 1000
 
 
+#: Time models that follow FSYNC's trajectory at full activation: their
+#: per-round cost over FSYNC's is scheduler overhead alone.
+SCHEDULER_OVERHEAD_RUNS = (
+    ("fsync", {}),
+    ("ssync", {"scheduler": "ssync", "activation_p": 1.0}),
+    (
+        "async-lcm",
+        {"scheduler": "async-lcm", "staleness": 0, "activation_p": 1.0},
+    ),
+)
+
+
+def measure_scheduler_overhead(repeats: int = 5) -> dict:
+    """Per-round CPU cost of whole ``simulate()`` ring_252 gathers
+    (default options) per time model, and each model's ratio to fsync.
+
+    A repeat runs the models back to back, rotating their order, so a
+    phase of machine load hits all of them alike; a ratio is the median
+    over repeats of the ratio within a repeat.  CPU time leaves out the
+    time the process waits for the CPU on a shared machine."""
+    cells = ring(64)
+    ms: dict = {key: [] for key, _ in SCHEDULER_OVERHEAD_RUNS}
+    ratios: dict = {key: [] for key, _ in SCHEDULER_OVERHEAD_RUNS[1:]}
+    rounds = set()
+    for i in range(repeats):
+        shift = i % len(SCHEDULER_OVERHEAD_RUNS)
+        cost = {}
+        for key, options in (
+            SCHEDULER_OVERHEAD_RUNS[shift:] + SCHEDULER_OVERHEAD_RUNS[:shift]
+        ):
+            gc.collect()
+            t0 = time.process_time()
+            result = simulate(cells, **options)
+            cost[key] = (time.process_time() - t0) * 1000 / result.rounds
+            ms[key].append(cost[key])
+            rounds.add(result.rounds)
+        for key in ratios:
+            ratios[key].append(cost[key] / cost["fsync"])
+    assert len(rounds) == 1, f"trajectories differ: rounds {rounds}"
+    return {
+        "instance": "ring_252",
+        "rounds": rounds.pop(),
+        "ms_per_round": {
+            key: round(statistics.median(v), 4) for key, v in ms.items()
+        },
+        "ratio_vs_fsync": {
+            key: round(statistics.median(v), 3) for key, v in ratios.items()
+        },
+    }
+
+
 def test_ring_resplice_speedup(benchmark):
-    """Record the incremental-vs-full steady-state round costs in
-    ``BENCH_ring.json`` (the cross-PR perf trajectory artifact) and keep
-    a regression floor on the ring-family speedup.
+    """Record the incremental-vs-full steady-state round costs and the
+    scheduler overhead ratios in ``BENCH_ring.json`` (the cross-PR perf
+    trajectory artifact) and keep a regression floor on the ring-family
+    speedup (``tools/bench_check.py`` gates the overhead ratios).
 
     One measurement, two artifacts: the JSON *and* the markdown table in
     ``docs/incremental.md`` are rendered from the same report, so they
@@ -252,6 +307,7 @@ def test_ring_resplice_speedup(benchmark):
     (committed-path) runs.
     """
     report = measure_steady_state()
+    report["scheduler_overhead"] = measure_scheduler_overhead()
     out_path = os.environ.get("BENCH_RING_OUT", BENCH_RING_PATH)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

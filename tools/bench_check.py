@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare freshly measured benchmark reports against committed ones.
 
-Default mode: BENCH_ring.json speedup ratios.  ``--sweep`` mode:
-BENCH_sweep.json reports (structure and the sweep pool-reuse floor).
+Default mode: BENCH_ring.json speedup ratios and scheduler overhead.
+``--sweep`` mode: BENCH_sweep.json reports (structure and the sweep
+pool-reuse floor).
 
 CI's ``bench-smoke`` job regenerates the steady-state micro-bench report
 (``BENCH_RING_OUT=... pytest benchmarks/bench_micro.py -k
@@ -14,17 +15,24 @@ the *same* machine): a fresh speedup may not fall more than
 instance present in both files.  Instances only present on one side
 (newly added benches) are reported but never fail the check.
 
-Several fresh reports may be given (CI measures twice): each instance is
-judged on its **best** fresh speedup, so a single noisy-neighbor run
-cannot red-X an unrelated PR.
+The fresh reports also carry ``scheduler_overhead``: the per-round
+cost of full-activation ``ssync`` and ``async-lcm`` gathers over
+``fsync`` on the same trajectory.  Those time models run the same round
+loop, so each ratio's best fresh value may not exceed
+``--overhead-limit`` (default 1.10); the committed baseline plays no
+part in this gate.
 
-Exit status 0 when every shared instance is within tolerance, 1
-otherwise.
+Several fresh reports may be given (CI measures twice): each instance is
+judged on its **best** fresh speedup and each overhead on its best fresh
+ratio, so a single noisy-neighbor run cannot red-X an unrelated PR.
+
+Exit status 0 when every shared instance is within tolerance and every
+overhead within its limit, 1 otherwise.
 
 Usage::
 
     python tools/bench_check.py BENCH_ring.json fresh1.json [fresh2.json
-        ...] [--tolerance 0.3]
+        ...] [--tolerance 0.3] [--overhead-limit 1.1]
 """
 
 from __future__ import annotations
@@ -34,9 +42,12 @@ import json
 import sys
 
 
-def load_speedups(path: str) -> dict:
+def load_report(path: str) -> dict:
     with open(path) as fh:
-        report = json.load(fh)
+        return json.load(fh)
+
+
+def speedups_of(report: dict, path: str) -> dict:
     instances = report.get("instances")
     if not isinstance(instances, dict) or not instances:
         raise ValueError(f"{path}: no instances in report")
@@ -74,6 +85,24 @@ def compare(
             f"floor {floor:.2f}x -> {verdict}"
         )
     return lines
+
+
+def check_overhead(fresh_reports: list, limit: float) -> list[str]:
+    """Comparison lines for the scheduler-overhead gate; a failure is
+    marked ``FAILED``.  Each ratio is judged on its best fresh value."""
+    best: dict = {}
+    for report in fresh_reports:
+        section = report.get("scheduler_overhead") or {}
+        for name, ratio in section.get("ratio_vs_fsync", {}).items():
+            best[name] = min(float(ratio), best.get(name, float("inf")))
+    if not best:
+        return ["  scheduler overhead: missing from every fresh report "
+                "-> FAILED"]
+    return [
+        f"  {name}/fsync per round: best fresh {ratio:.3f}, limit "
+        f"{limit:.2f} -> {'ok' if ratio <= limit else 'FAILED'}"
+        for name, ratio in sorted(best.items())
+    ]
 
 
 _SWEEP_KEYS = ("fresh_pool_s", "persistent_pool_s", "reuse_speedup")
@@ -127,6 +156,13 @@ def main(argv=None) -> int:
         help="allowed relative speedup drop before failing (default 0.3)",
     )
     parser.add_argument(
+        "--overhead-limit",
+        type=float,
+        default=1.10,
+        help="highest allowed best-fresh per-round cost of full-"
+        "activation ssync/async-lcm over fsync (default 1.10)",
+    )
+    parser.add_argument(
         "--sweep",
         action="store_true",
         help="check BENCH_sweep.json pool-reuse reports instead of "
@@ -160,10 +196,11 @@ def main(argv=None) -> int:
         print("OK")
         return 0
     try:
-        baseline = load_speedups(args.baseline)
+        baseline = speedups_of(load_report(args.baseline), args.baseline)
+        fresh_reports = [load_report(path) for path in args.fresh]
         fresh: dict = {}
-        for path in args.fresh:
-            for name, speedup in load_speedups(path).items():
+        for path, report in zip(args.fresh, fresh_reports):
+            for name, speedup in speedups_of(report, path).items():
                 fresh[name] = max(speedup, fresh.get(name, 0.0))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -171,8 +208,17 @@ def main(argv=None) -> int:
     lines = compare(baseline, fresh, args.tolerance)
     print(f"bench speedup check (tolerance {args.tolerance:.0%}):")
     print("\n".join(lines))
+    overhead = check_overhead(fresh_reports, args.overhead_limit)
+    print("scheduler overhead check:")
+    print("\n".join(overhead))
+    failed = False
     if any("REGRESSION" in line for line in lines):
         print("FAILED: speedup regression beyond tolerance", file=sys.stderr)
+        failed = True
+    if any("FAILED" in line for line in overhead):
+        print("FAILED: scheduler overhead over its limit", file=sys.stderr)
+        failed = True
+    if failed:
         return 1
     print("OK")
     return 0
