@@ -5,6 +5,10 @@ Shows the paper's mechanics live: runners (R) travel along the boundary
 folding corners inward; once the reshaped walls come close enough, merge
 patterns fire and the swarm implodes.
 
+The engine is ``RoundEngine``, the one round loop behind the ``fsync``,
+``ssync`` and ``async-lcm`` schedulers; passing an ``ActivationSchedule``
+as its third argument watches the same swarm under SSYNC.
+
 Run:  python examples/watch_gathering.py [shape] [size]
       shapes: ring (default), line, solid, blob, spiral, donut
 """

@@ -493,7 +493,7 @@ class AsyncLcmScheduler(_SsyncSchedulerBase):
 
 
 # ----------------------------------------------------------------------
-# Grid-state strategies (FSYNC engine / ASYNC engine)
+# Grid-state strategies (round engine / ASYNC engine)
 # ----------------------------------------------------------------------
 @register_strategy
 class GridStrategy:

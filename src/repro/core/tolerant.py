@@ -91,7 +91,7 @@ class TolerantGatherOnGrid(GatherOnGrid):
     pipelining — but :meth:`plan_round` passes the
     stock plan through :func:`certified_subset` before returning it.
     The run manager's finalize path already tolerates unexecuted moves
-    (the SSYNC engines drop arbitrary subsets), so deferral needs no
+    (the SSYNC schedules drop arbitrary subsets), so deferral needs no
     extra state: a deferred robot's pattern simply re-fires while it
     still matches.
 

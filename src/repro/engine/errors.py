@@ -20,9 +20,10 @@ class ConnectivityViolation(SimulationError):
     """A round left the swarm disconnected.
 
     The paper's central safety property (Section 1: movements "must not harm
-    the (only globally checkable) swarm connectivity").  The FSYNC engine
-    raises this in ``check_connectivity`` mode, annotated with the round and
-    the offending state, so tests fail loudly instead of drifting.
+    the (only globally checkable) swarm connectivity").  The round engine
+    raises this under FSYNC in ``check_connectivity`` mode, annotated
+    with the round and the offending state, so tests fail loudly instead
+    of drifting.
     """
 
     def __init__(self, round_index: int, n_components: int) -> None:
