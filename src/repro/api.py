@@ -395,11 +395,8 @@ class _SsyncSchedulerBase:
             policy, k_fairness, injector if injector.enabled else None
         )
 
-    def drive(self, program: Any, ctx: SimContext) -> RunResult:
-        return self._drive(program, ctx, staleness=0)
-
-    def _drive(
-        self, program: Any, ctx: SimContext, staleness: int
+    def drive(
+        self, program: Any, ctx: SimContext, staleness: int = 0
     ) -> RunResult:
         schedule = self._build_schedule(ctx)
         if isinstance(program, (FsyncProgram, AsyncProgram)):
@@ -489,7 +486,7 @@ class AsyncLcmScheduler(_SsyncSchedulerBase):
                 f"staleness must be a non-negative integer round "
                 f"count, got {staleness!r}"
             )
-        return self._drive(program, ctx, staleness)
+        return super().drive(program, ctx, staleness)
 
 
 # ----------------------------------------------------------------------

@@ -150,9 +150,6 @@ class TokenLedger:
         #: moved in it (what a byzantine ``stale`` robot reports).
         self.prev_cell: Dict[int, Cell] = {}
 
-    def __len__(self) -> int:
-        return len(self.cell_of)
-
     def roster(self) -> List[int]:
         """Every token, in canonical (sorted) order."""
         return sorted(self.cell_of)

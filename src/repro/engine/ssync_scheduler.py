@@ -112,9 +112,6 @@ class RoundRobinActivation:
             raise ValueError(f"round_robin class count must be >= 1, got {k}")
         self.k = int(k)
 
-    def everyone(self, round_index: int) -> bool:
-        return self.k == 1
-
     def select(
         self,
         round_index: int,
@@ -139,9 +136,6 @@ class AdversarialActivation:
 
     def __init__(self, seed: int = 0) -> None:
         pass
-
-    def everyone(self, round_index: int) -> bool:
-        return False
 
     def select(
         self,

@@ -37,7 +37,7 @@ def test_overhead_judged_on_best_fresh_value(tmp_path):
     quiet = _fresh(tmp_path, "b.json", 1.05, 1.25)
     assert main([base, noisy, quiet]) == 0
     assert main([base, noisy]) == 1
-    assert main([base, quiet, "--overhead-limit", "1.3"]) == 0
+    assert main([base, quiet]) == 1
 
 
 def test_missing_overhead_section_fails(tmp_path):

@@ -19,8 +19,8 @@ The fresh reports also carry ``scheduler_overhead``: the per-round
 cost of full-activation ``ssync`` and ``async-lcm`` gathers over
 ``fsync`` on the same trajectory.  Those time models run the same round
 loop, so each ratio's best fresh value may not exceed
-``--overhead-limit`` (default 1.10); the committed baseline plays no
-part in this gate.
+:data:`OVERHEAD_LIMIT`; the committed baseline plays no part in this
+gate.
 
 Several fresh reports may be given (CI measures twice): each instance is
 judged on its **best** fresh speedup and each overhead on its best fresh
@@ -32,7 +32,7 @@ overhead within its limit, 1 otherwise.
 Usage::
 
     python tools/bench_check.py BENCH_ring.json fresh1.json [fresh2.json
-        ...] [--tolerance 0.3] [--overhead-limit 1.1]
+        ...] [--tolerance 0.3]
 """
 
 from __future__ import annotations
@@ -85,6 +85,11 @@ def compare(
             f"floor {floor:.2f}x -> {verdict}"
         )
     return lines
+
+
+#: Highest allowed best-fresh per-round cost of a full-activation
+#: ``ssync`` / ``async-lcm`` gather over the ``fsync`` one.
+OVERHEAD_LIMIT = 1.10
 
 
 def check_overhead(fresh_reports: list, limit: float) -> list[str]:
@@ -156,13 +161,6 @@ def main(argv=None) -> int:
         help="allowed relative speedup drop before failing (default 0.3)",
     )
     parser.add_argument(
-        "--overhead-limit",
-        type=float,
-        default=1.10,
-        help="highest allowed best-fresh per-round cost of full-"
-        "activation ssync/async-lcm over fsync (default 1.10)",
-    )
-    parser.add_argument(
         "--sweep",
         action="store_true",
         help="check BENCH_sweep.json pool-reuse reports instead of "
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
     lines = compare(baseline, fresh, args.tolerance)
     print(f"bench speedup check (tolerance {args.tolerance:.0%}):")
     print("\n".join(lines))
-    overhead = check_overhead(fresh_reports, args.overhead_limit)
+    overhead = check_overhead(fresh_reports, OVERHEAD_LIMIT)
     print("scheduler overhead check:")
     print("\n".join(overhead))
     failed = False
