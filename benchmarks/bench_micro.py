@@ -9,8 +9,9 @@ at the repo root: the steady-state per-round cost of the linked-ring
 incremental pipeline vs full rescans on contour-dominated (ring) and
 blob instances, so the performance trajectory stays machine-readable
 across PRs, and the per-round cost of full-activation ``ssync`` and
-``async-lcm`` gathers relative to ``fsync``.  ``test_sweep_dispatch_report`` writes ``BENCH_sweep.json``:
-the sweep orchestrator's pool-reuse win.
+``async-lcm`` gathers relative to ``fsync``.
+``test_sweep_dispatch_report`` writes ``BENCH_sweep.json``: the sweep
+orchestrator's pool-reuse win.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ def test_overhead_within_limit_passes(tmp_path, capsys):
     base = _write(tmp_path, "base.json", {"instances": INSTANCES})
     fresh = _fresh(tmp_path, "fresh.json", 0.98, 1.04)
     assert main([base, fresh]) == 0
-    assert "async-lcm/fsync per round: best fresh 1.040" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "async-lcm/fsync per round: best fresh 1.040" in out
 
 
 def test_overhead_judged_on_best_fresh_value(tmp_path):

@@ -115,13 +115,17 @@ class TestStep:
 
 class TestRun:
     def test_budget_exhaustion(self):
-        eng = RoundEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
+        eng = RoundEngine(
+            SwarmState([(i, 0) for i in range(5)]), StaticController()
+        )
         result = eng.run(max_rounds=7)
         assert not result.gathered
         assert result.rounds == 7
 
     def test_budget_raise(self):
-        eng = RoundEngine(SwarmState([(i, 0) for i in range(5)]), StaticController())
+        eng = RoundEngine(
+            SwarmState([(i, 0) for i in range(5)]), StaticController()
+        )
         with pytest.raises(NotGathered):
             eng.run(max_rounds=3, raise_on_budget=True)
 

@@ -95,7 +95,9 @@ class TestSharedEngineLog:
             def notify_applied(self, state, round_index, moves, merged):
                 pass
 
-        engine = RoundEngine(SwarmState([(0, 0), (3, 0), (1, 0), (2, 0)]), Still())
+        engine = RoundEngine(
+            SwarmState([(0, 0), (3, 0), (1, 0), (2, 0)]), Still()
+        )
         assert isinstance(engine.events, EventLog)
         result = engine.run(max_rounds=1)
         assert result.events.counts() == {"budget_exhausted": 1}

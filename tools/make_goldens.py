@@ -260,7 +260,9 @@ def main(argv=None) -> int:
             print(f"{name}: rounds={out[name]['rounds']}", flush=True)
         _write("golden_trajectories.json", out)
     elif target == "schedules":
-        out = {name: run_schedule_scenario(name) for name in SCHEDULE_SCENARIOS}
+        out = {
+            name: run_schedule_scenario(name) for name in SCHEDULE_SCENARIOS
+        }
         _write("golden_schedules.json", out)
     else:
         print(
