@@ -101,14 +101,22 @@ def _events_digest(events, round_index: int, kinds=None) -> str:
     round is simultaneous, so the emission order and run numbering are
     artifacts of site processing order, not part of the trajectory.
     """
-    lines = sorted(
-        f"{e.kind}:{sorted(i for i in e.data.items() if i[0] != 'run_id')!r}"
+    return _digest(
+        _event_line(e)
         for e in events
         if e.round_index == round_index
         and e.kind not in ENGINE_EVENT_KINDS
         and (kinds is None or e.kind in kinds)
     )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+
+
+def _event_line(e) -> str:
+    data = sorted(i for i in e.data.items() if i[0] != "run_id")
+    return f"{e.kind}:{data!r}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()[:12]
 
 
 def run_scenario(make_cells, cfg: AlgorithmConfig | None = None) -> dict:
@@ -178,10 +186,6 @@ SCHEDULE_FAMILIES = {
 #: Round cap of every schedule golden run.
 SCHEDULE_MAX_ROUNDS = 60
 
-#: The one event kind left out of schedule hashes: the incremental
-#: pipeline's splice audit (see :data:`ENGINE_EVENT_KINDS`).
-SCHEDULE_EXCLUDED_KINDS = frozenset({"boundary_respliced"})
-
 #: Engine terminal event kinds; each run ends with exactly one.
 TERMINAL_KINDS = ("gathered", "budget_exhausted", "connectivity_lost")
 
@@ -197,20 +201,16 @@ SCHEDULE_SCENARIOS = {
 
 
 def _round_event_hashes(events, rounds: int) -> list:
-    """Per-round digests of ``events`` (sorted within a round, like
-    :func:`_events_digest`), skipping :data:`SCHEDULE_EXCLUDED_KINDS`."""
+    """:func:`_events_digest` of every round, in one pass over the log.
+
+    Only the ``boundary_respliced`` audit is left out in effect: the
+    terminal events of :data:`ENGINE_EVENT_KINDS` fall after the last
+    round."""
     lines: list = [[] for _ in range(rounds)]
     for e in events:
-        if e.kind in SCHEDULE_EXCLUDED_KINDS or e.round_index >= rounds:
-            continue
-        lines[e.round_index].append(
-            f"{e.kind}:"
-            f"{sorted(i for i in e.data.items() if i[0] != 'run_id')!r}"
-        )
-    return [
-        hashlib.sha256("\n".join(sorted(row)).encode()).hexdigest()[:12]
-        for row in lines
-    ]
+        if e.kind not in ENGINE_EVENT_KINDS and e.round_index < rounds:
+            lines[e.round_index].append(_event_line(e))
+    return [_digest(row) for row in lines]
 
 
 def run_schedule_scenario(name: str) -> dict:
