@@ -31,12 +31,7 @@ from repro.engine.protocols import (
     SimContext,
     Strategy,
 )
-from repro.engine.scheduler import (
-    Controller,
-    GatherResult,
-    RoundEngine,
-    TokenLedger,
-)
+from repro.engine.scheduler import Controller, GatherResult, RoundEngine
 from repro.engine.async_scheduler import AsyncController, AsyncEngine
 from repro.engine.ssync_scheduler import (
     ACTIVATION_POLICIES,
@@ -65,7 +60,6 @@ __all__ = [
     "Controller",
     "GatherResult",
     "RoundEngine",
-    "TokenLedger",
     "AsyncController",
     "AsyncEngine",
     "default_round_budget",

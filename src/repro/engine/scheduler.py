@@ -304,12 +304,11 @@ class RoundEngine:
         schedule.events = self.events
         schedule.token_info = self._token_info
         self.ledger = TokenLedger(state.cells)
-        self._reads_hints = getattr(schedule.policy, "reads_hints", True)
         self._last_moves: Mapping[Cell, Cell] = {}
         #: Byzantine roles are run-constant: drawn once per token.
         self._byzantine: List[int] = (
-            [t for t in self.ledger.roster() if faults.is_byzantine(t)]
-            if byzantine
+            faults.byzantine_tokens(self.ledger.roster())
+            if faults is not None
             else []
         )
         # The Δ layer: per-round look archives, newest last, pruned to
@@ -353,10 +352,7 @@ class RoundEngine:
         # Every token left in the busy map lands this round or later:
         # its cycle is still in flight, so it cannot start a new one.
         active = schedule.select(
-            r,
-            ledger.roster(),
-            hints=self._hints() if self._reads_hints else frozenset(),
-            busy=self._busy_until,
+            r, ledger.roster(), hints=self._hints(), busy=self._busy_until
         )
         self.activations += len(active)
         return active

@@ -73,7 +73,6 @@ class UniformActivation:
     """
 
     key = "uniform"
-    reads_hints = False
 
     def __init__(self, p: float = 0.5, seed: int = 0) -> None:
         if not 0.0 <= p <= 1.0:
@@ -105,7 +104,6 @@ class RoundRobinActivation:
     roster, but each round activates ~1/k of the swarm regardless)."""
 
     key = "round_robin"
-    reads_hints = False
 
     def __init__(self, k: int = 3, seed: int = 0) -> None:
         if k < 1:
@@ -132,7 +130,6 @@ class AdversarialActivation:
     exactly how much the algorithm's progress argument leans on them."""
 
     key = "adversarial"
-    reads_hints = True
 
     def __init__(self, seed: int = 0) -> None:
         pass
@@ -168,15 +165,11 @@ class ScriptedActivation:
     """
 
     key = "scripted"
-    reads_hints = False
 
     def __init__(self, schedule: Sequence = (), seed: int = 0) -> None:
         self.rounds: List[FrozenSet[int]] = [
             frozenset(int(t) for t in entry) for entry in schedule
         ]
-
-    def everyone(self, round_index: int) -> bool:
-        return round_index >= len(self.rounds)
 
     def select(
         self,
@@ -453,24 +446,21 @@ def drive_stepped_ssync(
     # Adversarial-policy hints: stepped programs have no run manager, so
     # the progress carriers are "whoever moved last round", computed from
     # the per-token positions (roster order matches view() order for
-    # every stepped program) — only for policies that read hints.
-    reads_hints = getattr(schedule.policy, "reads_hints", True)
+    # every stepped program).
     moved_last: frozenset = frozenset()
     while not done and rounds < budget:
         roster = list(program.ssync_roster())
-        if reads_hints:
-            positions = dict(zip(roster, program.view().cells))
+        positions = dict(zip(roster, program.view().cells))
         active = schedule.select(rounds, roster, hints=moved_last)
         activations += len(active)
         remap = program.ssync_step(rounds, active, metrics, events)
         after = list(program.ssync_roster())
-        if reads_hints:
-            after_positions = dict(zip(after, program.view().cells))
-            moved_last = frozenset(
-                t
-                for t in after
-                if t not in positions or positions[t] != after_positions[t]
-            )
+        after_positions = dict(zip(after, program.view().cells))
+        moved_last = frozenset(
+            t
+            for t in after
+            if t not in positions or positions[t] != after_positions[t]
+        )
         schedule.commit(active, remap=remap, survivors=after)
         if ctx.on_round is not None:
             ctx.on_round(rounds, program.view())
