@@ -37,7 +37,7 @@ from repro.analysis.tables import format_table
 from repro.core.config import AlgorithmConfig
 from repro.engine.scheduler import RoundEngine
 from repro.errors import InvariantError
-from repro.explore.driver import StateDag, explore
+from repro.explore.driver import PlanMemo, StateDag, explore
 from repro.explore.witness import Witness, build_witness, verify_witness
 from repro.grid.canonical import d4_normal_form
 from repro.grid.occupancy import SwarmState
@@ -94,6 +94,7 @@ def certify_shape(
     scan_witnesses: int = 8,
     strategy: str = "grid",
     symmetry: str = "translation",
+    plan_memo: Optional[PlanMemo] = None,
 ) -> Dict[str, object]:
     """The certification record of one seed shape (exhaustive mode).
 
@@ -101,13 +102,15 @@ def certify_shape(
     connectivity-``"tolerant"`` variant; ``symmetry="d4"`` accelerates
     the closure by folding rotations/reflections into the state key
     (verdicts only — witness scanning is skipped on D4 DAGs).
+    ``plan_memo`` is the explorer's plan memo, shared across the shapes
+    of a sweep; it does not change the record.
     """
     cfg = cfg or AlgorithmConfig()
     cells = sorted(cells)
     budget = fsync_budget(len(cells))
     dag = explore(
         cells, cfg=cfg, mode="exhaustive", max_nodes=max_nodes,
-        strategy=strategy, symmetry=symmetry,
+        strategy=strategy, symmetry=symmetry, plan_memo=plan_memo,
     )
     counts = dag.counts()
     fsync_rounds = _fsync_rounds(cells, cfg, budget, strategy)
@@ -164,12 +167,15 @@ def run_certification(
     connectivity-``"tolerant"`` variant); ``symmetry="d4"`` folds
     rotations/reflections into the explorer's dedup key — verdicts must
     (and, per the D4 audit, empirically do) match the translation-only
-    sweep, but witness extraction/verification is skipped.
+    sweep, but witness extraction/verification is skipped.  All shapes
+    share one plan memo, so each distinct explorer state is planned
+    once per call.
     """
     cfg = cfg or AlgorithmConfig()
     rows: List[Dict[str, object]] = []
     headline: Optional[Witness] = None
     overall_ok = True
+    plan_memo: PlanMemo = {}
     for n in range(min_n, max_n + 1):
         shapes = [certify_shape(
             shape,
@@ -178,6 +184,7 @@ def run_certification(
             scan_witnesses=scan_witnesses,
             strategy=strategy,
             symmetry=symmetry,
+            plan_memo=plan_memo,
         ) for shape in all_polyominoes(n)]
         complete = all(s["complete"] for s in shapes)
         max_fsync = max(s["fsync_rounds"] for s in shapes)

@@ -588,7 +588,7 @@ def _run_grid_job_checkpointed(
     from repro.engine.termination import default_round_budget
     from repro.grid.occupancy import SwarmState
     from repro.swarms.generators import family
-    from repro.trace.recorder import CheckpointRecorder, read_trace
+    from repro.trace.recorder import CheckpointRecorder, read_resumable_trace
     from repro.trace.replay import (
         controller_checkpoint,
         last_checkpoint,
@@ -597,12 +597,8 @@ def _run_grid_job_checkpointed(
     from repro.core.algorithm import GatherOnGrid
 
     trace_path = store.trace_path(job_id)
-    meta: dict = {}
-    row = None
-    if trace_path.exists():
-        with trace_path.open() as fh:
-            meta, rows = read_trace(fh)
-        row = last_checkpoint(rows)
+    meta, rows = read_resumable_trace(trace_path)
+    row = last_checkpoint(rows)
     if row is not None:
         engine = resume_engine(
             row,
@@ -638,14 +634,14 @@ def _run_grid_job_checkpointed(
         )
         mode = "w"
     with trace_path.open(mode) as fh:
+        # Resuming: the rows after the checkpoint are already on disk.
         recorder = CheckpointRecorder(
             fh,
             lambda: controller_checkpoint(engine.controller),
             meta=meta,
             every=checkpoint_every,
+            resume_after=rows[-1].round_index if mode == "a" else None,
         )
-        if mode == "a":
-            recorder._wrote_header = True  # resuming an existing trace
         engine.on_round = recorder
         result = engine.run(max_rounds=budget)
     return ScalingPoint(

@@ -77,14 +77,30 @@ class Run:
     born_round: int
 
 
-@dataclass
-class _Planned:
-    """Internal per-round plan for one run."""
+class _Planned(NamedTuple):
+    """Internal per-round plan for one run (immutable, so a
+    :class:`RunFork` can share it between commits)."""
 
     run: Run
     terminate: Optional[str] = None  # termination reason (event tag)
     fold_to: Optional[Cell] = None
     next_robot: Optional[Cell] = None  # pre-move cell of the next holder
+
+
+class RunFork(NamedTuple):
+    """An immutable snapshot of a :class:`RunManager`.
+
+    ``planned`` holds the records of a planned but not yet finalized
+    round (empty between rounds), ``runs`` the live runs in run-id
+    order, ``next_id`` the id the next started run receives.  Taken
+    after ``plan`` and restored before each ``finalize``, one planned
+    round can be committed several times; taken between rounds, it is
+    a checkpoint.
+    """
+
+    planned: Tuple[_Planned, ...]
+    runs: Tuple[Run, ...]
+    next_id: int
 
 
 def _endpoint_in_window(window: Sequence[Cell], horizontal: bool) -> bool:
@@ -119,6 +135,22 @@ class RunManager:
         self._planned: List[_Planned] = []
 
     # ------------------------------------------------------------------
+    def fork(self) -> RunFork:
+        """The manager's whole state as an immutable value."""
+        runs = self.runs
+        return RunFork(
+            tuple(self._planned),
+            tuple([runs[rid] for rid in sorted(runs)]),
+            self._next_id,
+        )
+
+    def restore(self, fork: RunFork) -> None:
+        """Reset the manager to ``fork``.  The containers are fresh, so
+        nothing done after this call can alter ``fork``."""
+        self._planned = list(fork.planned)
+        self.runs = {run.run_id: run for run in fork.runs}
+        self._next_id = fork.next_id
+
     @property
     def active_run_count(self) -> int:
         return len(self.runs)
@@ -418,7 +450,7 @@ class RunManager:
         # robot cell wins the fold (two runs can hold one robot).
         for planned, fold in results:
             if fold is not None and planned.run.robot not in run_moves:
-                planned.fold_to = fold
+                planned = planned._replace(fold_to=fold)
                 run_moves[planned.run.robot] = fold
             self._planned.append(planned)
         return run_moves

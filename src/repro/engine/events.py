@@ -60,3 +60,11 @@ class EventLog:
     def rounds_with(self, kind: str) -> List[int]:
         """Sorted distinct round indices at which ``kind`` occurred."""
         return sorted({e.round_index for e in self._events if e.kind == kind})
+
+
+class NullEventLog(EventLog):
+    """An event log that drops every event: the sink for probe
+    controllers whose events nobody reads (the explorer's branches)."""
+
+    def emit(self, round_index: int, kind: str, **data: Any) -> None:
+        """Drop the event."""

@@ -11,15 +11,22 @@ canonical key (:mod:`repro.explore.canonical`), and grows the deduped
 state DAG breadth-first — cycles simply close back onto known nodes, so
 exploration terminates exactly when the reachable closure is built.
 
-Each branch replays the engine's own round, operation for operation:
-restore the controller from the node's checkpoint, ``plan_round`` (run
-starts and freshness behave correctly because the phase is part of the
-node key), apply the chosen subset of planned moves, ``notify_applied``
-(the run table advances *as if the plan had executed* — the documented
+Each branch is the engine's own round, split at the controller
+protocol: ``plan_round`` once per node (run starts and freshness behave
+correctly because the phase is part of the node key), then per subset
+``apply_moves`` of the chosen planned moves and ``notify_applied`` (the
+run table advances *as if the plan had executed* — the documented
 desynchronization that lets partial activation break connectivity).
-Because planning is deterministic, the plan is computed once per node
-and the manager's post-plan state is snapshotted and restored around
-each subset instead of replanning ``2^m`` times.
+
+A planned round is a pure function of the node key, the strategy and
+the planning config, so it is computed once and kept in a plan memo:
+the moves, the sorted movers, and a :class:`~repro.core.runs.RunFork`
+of the run manager taken right after planning.  Every subset branch
+restores that fork and commits on a fresh copy of the node's cells.
+:func:`~repro.analysis.certification.run_certification` shares one
+memo across all seed shapes of a sweep, whose DAGs overlap heavily, so
+each distinct state is planned once per sweep.  One controller serves
+a whole :func:`explore` call, with a null event sink.
 
 Modes: ``exhaustive`` expands every subset of every frontier node (the
 certification mode — complete for small ``n``); ``beam`` keeps the
@@ -33,10 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.engine.events import EventLog
+from repro.core.runs import RunFork
+from repro.engine.events import NullEventLog
 from repro.explore.canonical import (
     RunRow,
     StateKey,
@@ -46,15 +55,29 @@ from repro.explore.canonical import (
 )
 from repro.grid.connectivity import articulation_cells, is_connected
 from repro.grid.geometry import Cell
+from repro.grid.occupancy import SwarmState
 from repro.trace.replay import (
+    checkpoint_fork,
     controller_checkpoint,
     grid_controller_class,
-    restore_controller,
 )
 
 #: Seed salt keeping beam-mode subset sampling an independent stream of
 #: a user-facing seed (mirrors the facade's policy/fault salts).
 _BRANCH_SEED_SALT = 0xB4A9
+
+
+class PlannedRound(NamedTuple):
+    """One plan memo entry: a node's planned moves, their sorted
+    sources, and the run manager forked right after planning."""
+
+    moves: Dict[Cell, Cell]
+    movers: Tuple[Cell, ...]
+    fork: RunFork
+
+
+#: Plan memo: ``{(strategy, planning config): {node key: PlannedRound}}``.
+PlanMemo = Dict[Tuple[str, AlgorithmConfig], Dict[StateKey, PlannedRound]]
 
 
 @dataclass(frozen=True)
@@ -312,6 +335,7 @@ def explore(
     gather_square: int = 2,
     strategy: str = "grid",
     symmetry: str = "translation",
+    plan_memo: Optional[PlanMemo] = None,
 ) -> StateDag:
     """Build the deduplicated activation-subset DAG of one seed swarm.
 
@@ -331,12 +355,16 @@ def explore(
     eight rotations/reflections into one node — a verdict-level
     accelerator (witness reconstruction needs exact frames and refuses
     D4 DAGs).
+
+    ``plan_memo`` is the plan memo (module docstring) to read and fill;
+    callers exploring many seeds pass one dict to all calls.  It never
+    changes the result: the default is a fresh memo per call.
     """
     if mode not in ("exhaustive", "beam"):
         raise ValueError(
             f"unknown explore mode {mode!r}; expected 'exhaustive' or 'beam'"
         )
-    grid_controller_class(strategy)  # fail fast on unknown keys
+    controller_class = grid_controller_class(strategy)  # fail fast
     if symmetry not in ("translation", "d4"):
         raise ValueError(
             f"unknown explorer symmetry {symmetry!r}; "
@@ -352,6 +380,11 @@ def explore(
     # caches would be rebuilt from scratch on every fork anyway (the
     # equivalence suite pins incremental == full rescan bit-identity).
     plan_cfg = replace(user_cfg, incremental=False)
+    controller = controller_class(plan_cfg)
+    controller.events = NullEventLog()  # branch probes never keep events
+    plans = (plan_memo if plan_memo is not None else {}).setdefault(
+        (strategy, plan_cfg), {}
+    )
 
     root_key, root_offset = canonical_state_key(
         cells, {"next_id": 0, "runs": []}, round_phase(0, user_cfg),
@@ -386,7 +419,7 @@ def explore(
                 dag.truncated = True
                 continue
             children = _expand(
-                dag, node, plan_cfg, rng,
+                dag, node, controller, plans, rng,
                 mode=mode,
                 branch_samples=branch_samples,
                 include_stall=include_stall,
@@ -449,7 +482,8 @@ def _subset_masks(
 def _expand(
     dag: StateDag,
     node: Node,
-    plan_cfg: AlgorithmConfig,
+    controller: GatherOnGrid,
+    plans: Dict[StateKey, PlannedRound],
     rng: random.Random,
     *,
     mode: str,
@@ -459,25 +493,19 @@ def _expand(
 ) -> List[StateKey]:
     """Fork ``node`` across its activation subsets; returns child keys
     in enumeration order (deduplicated against the DAG)."""
-    from repro.grid.occupancy import SwarmState
-
     rep = _representative_round(node.phase, dag.cfg)
-    controller = restore_controller(
-        checkpoint_from_rows(node.run_rows), plan_cfg, dag.strategy
-    )
-    controller.events = EventLog()  # branch probes never keep events
-    plan_state = SwarmState(sorted(node.cells))
-    planned = dict(controller.plan_round(plan_state, rep))
-    movers = sorted(planned)
-
-    # Snapshot the manager's post-plan state once; each subset branch
-    # restores it instead of replanning (finalize consumes ``_planned``
-    # and rebuilds ``runs`` from fresh Run objects, never mutating the
-    # snapshotted ones).
     manager = controller.run_manager
-    planned_records = list(manager._planned)
-    runs_snapshot = dict(manager.runs)
-    next_id_snapshot = manager._next_id
+    plan = plans.get(node.key)
+    if plan is None:
+        manager.restore(checkpoint_fork(checkpoint_from_rows(node.run_rows)))
+        moves = dict(
+            controller.plan_round(
+                SwarmState.from_validated(set(node.cells)), rep
+            )
+        )
+        plan = PlannedRound(moves, tuple(sorted(moves)), manager.fork())
+        plans[node.key] = plan
+    movers = plan.movers
 
     child_phase = round_phase(rep + 1, dag.cfg)
     node.edges = []
@@ -493,11 +521,9 @@ def _expand(
         chosen = tuple(
             movers[i] for i in range(len(movers)) if mask >> i & 1
         )
-        manager._planned = list(planned_records)
-        manager.runs = dict(runs_snapshot)
-        manager._next_id = next_id_snapshot
-        branch_state = SwarmState(sorted(node.cells))
-        moves = {c: planned[c] for c in chosen}
+        manager.restore(plan.fork)
+        branch_state = SwarmState.from_validated(set(node.cells))
+        moves = {c: plan.moves[c] for c in chosen}
         merged = branch_state.apply_moves(moves)
         controller.notify_applied(branch_state, rep, moves, merged)
 

@@ -18,7 +18,8 @@ Two execution paths, mirroring the sweep store
   controller and a :class:`~repro.trace.recorder.CheckpointRecorder`
   hook, so a killed run resumes from its last embedded checkpoint via
   :func:`repro.trace.replay.resume_engine` — continuing the *same*
-  trajectory, with metrics identical to an undisturbed run;
+  trajectory, with metrics identical to an undisturbed run, and
+  appending only the rounds its trace does not hold yet;
 * everything else (other strategies/schedulers, option-carrying runs)
   records a plain trace and restarts from scratch on recovery —
   correct either way, checkpoints are an optimization.
@@ -45,7 +46,7 @@ from repro.service.records import RunRegistry
 from repro.trace.recorder import (
     CheckpointRecorder,
     TraceRecorder,
-    read_trace,
+    read_resumable_trace,
 )
 from repro.trace.replay import (
     controller_checkpoint,
@@ -190,15 +191,12 @@ def _execute_grid_checkpointed(
     cfg = config_from_params(params)
     check = bool(params.get("check_connectivity", True))
 
-    row = None
-    meta: Dict[str, Any] = {}
-    if trace_path.exists():
-        with trace_path.open() as fh:
-            meta, rows = read_trace(fh)
-        row = last_checkpoint(rows)
+    meta, rows = read_resumable_trace(trace_path)
+    row = last_checkpoint(rows)
 
     if row is not None:
-        # Resume the interrupted trajectory from its last checkpoint.
+        # Resume the interrupted trajectory from its last checkpoint;
+        # the rows after it are already in the trace.
         engine = resume_engine(row, cfg, check_connectivity=check)
         budget = int(meta["budget"])
         n0 = int(meta["n"])
@@ -208,8 +206,8 @@ def _execute_grid_checkpointed(
                 lambda: controller_checkpoint(engine.controller),
                 meta=meta,
                 every=checkpoint_every,
+                resume_after=rows[-1].round_index,
             )
-            recorder._wrote_header = True  # appending to the trace
             engine.on_round = _flushing(recorder)
             result = engine.run(max_rounds=budget)
         # Rebuild the summary shape from the header: the engine only

@@ -21,8 +21,10 @@ stay valid traces.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.grid.occupancy import SwarmState
@@ -74,6 +76,11 @@ class CheckpointRecorder(TraceRecorder):
     ``on_round`` *after* the round is applied and finalized, so a
     checkpoint at row ``r`` is the exact state a resumed engine
     continues from at round ``r + 1``.
+
+    ``resume_after`` appends to an existing trace whose header and rows
+    through round ``resume_after`` are already on disk: a run resumed
+    from an earlier checkpoint replays those rounds without writing
+    them a second time.
     """
 
     def __init__(
@@ -83,14 +90,20 @@ class CheckpointRecorder(TraceRecorder):
         *,
         meta: Optional[dict] = None,
         every: int = 50,
+        resume_after: Optional[int] = None,
     ) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         super().__init__(fh, meta)
         self.checkpoint_fn = checkpoint_fn
         self.every = every
+        self.resume_after = resume_after
+        if resume_after is not None:
+            self._wrote_header = True
 
     def __call__(self, round_index: int, state: SwarmState) -> None:
+        if self.resume_after is not None and round_index <= self.resume_after:
+            return
         if round_index % self.every != 0:
             super().__call__(round_index, state)
             return
@@ -125,15 +138,26 @@ def read_trace(
     """Parse JSONL trace content into ``(header_meta, rows)``.
 
     The header meta is ``{}`` for headerless fragments; checkpoint
-    payloads (when present) are preserved on their rows.
+    payloads (when present) are preserved on their rows.  A final line
+    without a newline that does not parse is a row torn by a crash and
+    is skipped; a parse error anywhere else raises.
     """
     meta: dict = {}
     rows: List[TraceRow] = []
-    for line in lines:
-        line = line.strip()
+    torn: Optional[ValueError] = None
+    for raw in lines:
+        line = raw.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        if torn is not None:
+            raise torn  # the unparsable line was not the last one
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            if raw.endswith("\n"):
+                raise
+            torn = exc
+            continue
         kind = obj.get("type")
         if kind == "header":
             meta = {k: v for k, v in obj.items() if k != "type"}
@@ -148,3 +172,21 @@ def read_trace(
             )
         )
     return meta, rows
+
+
+def read_resumable_trace(
+    path: Union[str, Path],
+) -> Tuple[dict, List[TraceRow]]:
+    """Read a trace file that a killed writer may have left, ready for
+    appending: a torn final line is cut off the file, so appended rows
+    start on a fresh line.  ``({}, [])`` when the file does not exist.
+    """
+    path = Path(path)
+    if not path.exists():
+        return {}, []
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(end)
+    return read_trace(io.StringIO(data[:end].decode("utf-8")))

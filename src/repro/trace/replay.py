@@ -22,9 +22,10 @@ from typing import List, Optional, Sequence
 
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
-from repro.core.runs import Run
+from repro.core.runs import Run, RunFork
 from repro.core.tolerant import TolerantGatherOnGrid
 from repro.engine.scheduler import RoundEngine
+from repro.errors import InvariantError
 from repro.grid.occupancy import SwarmState
 from repro.trace.recorder import TraceRow
 
@@ -87,14 +88,20 @@ def verify_trace(
 def controller_checkpoint(controller: GatherOnGrid) -> dict:
     """The JSON-able run-table snapshot of a grid controller.
 
-    Everything needed to continue planning: the live runs (frozen
-    dataclasses — copied by value into lists) and the next run id.
-    Derived structures are deliberately absent; they are rebuilt from
-    the swarm cells on resume.
+    A checkpoint is a :meth:`~repro.core.runs.RunManager.fork` taken
+    between rounds, i.e. with no planned records: the live runs
+    (frozen dataclasses, copied by value into lists) and the next run
+    id.  Derived structures are deliberately absent; they are rebuilt
+    from the swarm cells on resume.
     """
-    manager = controller.run_manager
+    fork = controller.run_manager.fork()
+    if fork.planned:
+        raise InvariantError(
+            "controller checkpoint taken between plan_round and "
+            "notify_applied; the planned records would be lost"
+        )
     return {
-        "next_id": manager._next_id,
+        "next_id": fork.next_id,
         "runs": [
             [
                 run.run_id,
@@ -104,9 +111,26 @@ def controller_checkpoint(controller: GatherOnGrid) -> dict:
                 run.axis,
                 run.born_round,
             ]
-            for _, run in sorted(manager.runs.items())
+            for run in fork.runs
         ],
     }
+
+
+def checkpoint_fork(checkpoint: dict) -> RunFork:
+    """The run-manager fork a :func:`controller_checkpoint` describes."""
+    runs = [
+        Run(
+            run_id=int(row[0]),
+            robot=(int(row[1][0]), int(row[1][1])),
+            prev=(int(row[2][0]), int(row[2][1])),
+            direction=int(row[3]),
+            axis=str(row[4]),
+            born_round=int(row[5]),
+        )
+        for row in checkpoint["runs"]
+    ]
+    runs.sort(key=lambda run: run.run_id)
+    return RunFork((), tuple(runs), int(checkpoint["next_id"]))
 
 
 def restore_controller(
@@ -117,19 +141,7 @@ def restore_controller(
     """A fresh grid-state controller with the checkpointed run table
     (``strategy`` picks the class — stock ``grid`` or ``tolerant``)."""
     controller = grid_controller_class(strategy)(cfg)
-    manager = controller.run_manager
-    manager._next_id = int(checkpoint["next_id"])
-    manager.runs = {
-        int(row[0]): Run(
-            run_id=int(row[0]),
-            robot=(int(row[1][0]), int(row[1][1])),
-            prev=(int(row[2][0]), int(row[2][1])),
-            direction=int(row[3]),
-            axis=str(row[4]),
-            born_round=int(row[5]),
-        )
-        for row in checkpoint["runs"]
-    }
+    controller.run_manager.restore(checkpoint_fork(checkpoint))
     return controller
 
 

@@ -6,7 +6,8 @@ turns those rows into Server-Sent Events by following the file as it
 grows.  :func:`follow_rounds` is that follower: a generator yielding
 :class:`~repro.trace.recorder.TraceRow` objects in round order, safe
 against partially written lines (only newline-terminated lines are
-parsed) and against the file not existing yet (it waits).
+parsed), against a resumed writer (no round is yielded twice) and
+against the file not existing yet (it waits).
 
 ``stop`` decouples termination from the file contents: traces do not
 carry an end-of-stream marker (a killed worker leaves no footer), so
@@ -53,14 +54,21 @@ def follow_rounds(
 
     Header and unknown rows are skipped; rows with
     ``round_index < start_round`` are skipped (resume support: a
-    re-attached stream can ask only for the tail).  The generator ends
-    when ``stop()`` returns true *and* every complete line written so
-    far has been yielded — so a consumer that flips ``stop`` on the
-    terminal run status still receives the final rounds.  With no
-    ``stop`` predicate it follows forever (callers must close it).
+    re-attached stream can ask only for the tail).  Round indexes only
+    increase: a row whose round was already yielded is skipped, so a
+    writer that resumes a killed run never shows a round twice.  The
+    follower's file position only advances past complete lines, so a
+    resumed writer that cuts a torn final line off the file and
+    rewrites it is read from the start of that line.
+
+    The generator ends when ``stop()`` returns true *and* every
+    complete line written so far has been yielded — so a consumer that
+    flips ``stop`` on the terminal run status still receives the final
+    rounds.  With no ``stop`` predicate it follows forever (callers
+    must close it).
     """
-    buffer = b""
     position = 0
+    next_round = start_round
     while True:
         done = stop() if stop is not None else False
         grew = False
@@ -68,14 +76,14 @@ def follow_rounds(
             with open(path, "rb") as fh:
                 fh.seek(position)
                 chunk = fh.read()
-            if chunk:
+            end = chunk.rfind(b"\n") + 1
+            if end:
                 grew = True
-                position += len(chunk)
-                buffer += chunk
-                while b"\n" in buffer:
-                    raw, buffer = buffer.split(b"\n", 1)
+                position += end
+                for raw in chunk[:end].splitlines():
                     row = _parse_row(raw.decode("utf-8"))
-                    if row is not None and row.round_index >= start_round:
+                    if row is not None and row.round_index >= next_round:
+                        next_round = row.round_index + 1
                         yield row
         if done and not grew:
             return

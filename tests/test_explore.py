@@ -365,8 +365,10 @@ class TestCertification:
     def test_pinned_breakability(self, report):
         by_n = {row["n"]: row for row in report["rows"]}
         assert by_n[3]["shapes"] == 6
+        assert by_n[3]["states"] == 136
         assert by_n[3]["breakable_shapes"] == 0
         assert by_n[4]["shapes"] == 19
+        assert by_n[4]["states"] == 4841
         assert by_n[4]["breakable_shapes"] == 16
         assert by_n[4]["min_violation_round"] == 1
         assert by_n[4]["min_fairness_k"] == 2
@@ -384,6 +386,36 @@ class TestCertification:
         text = format_certification(report)
         assert "SSYNC certification sweep" in text
         assert "fsync worst" in text
+
+    @pytest.mark.parametrize(
+        "strategy, symmetry",
+        [("grid", "translation"), ("tolerant", "translation"),
+         ("grid", "d4")],
+    )
+    def test_shared_plan_memo_leaves_every_dag_unchanged(
+        self, strategy, symmetry
+    ):
+        """Every n <= 4 shape explored with a fresh plan memo and with
+        one that every shape of the sweep has filled: the DAGs (node
+        order, depth, status, parent and every edge) are identical."""
+        from repro.swarms.enumerate import all_polyominoes
+
+        shapes = [s for n in (3, 4) for s in all_polyominoes(n)]
+        shared: dict = {}
+        for shape in shapes:
+            explore(shape, strategy=strategy, symmetry=symmetry,
+                    plan_memo=shared)
+        planned = sum(len(plans) for plans in shared.values())
+        for shape in shapes:
+            fresh = explore(shape, strategy=strategy, symmetry=symmetry)
+            primed = explore(shape, strategy=strategy, symmetry=symmetry,
+                             plan_memo=shared)
+            assert list(primed.nodes.items()) == list(fresh.nodes.items())
+            assert (primed.edge_count, primed.max_depth_reached) == (
+                fresh.edge_count, fresh.max_depth_reached
+            )
+        # the primed pass planned nothing new
+        assert sum(len(plans) for plans in shared.values()) == planned
 
     def test_fsync_budget_blowup_is_loud(self):
         from repro.analysis.certification import _fsync_rounds

@@ -241,6 +241,38 @@ class TestCheckpointResume:
         assert results["job-000001"] == serial
         assert store.status()["job-000001"] == "done"
 
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_resume_past_a_checkpoint_leaves_one_contiguous_trace(
+        self, tmp_path, torn
+    ):
+        """A crash three rows after a checkpoint, optionally tearing
+        the last row: the resumed job must write each round once and
+        leave the trace an undisturbed run writes, byte for byte."""
+        job = SweepJob(family="ring", n=72, check_connectivity=False)
+        serial = run_jobs([job])[0]
+        store = SweepJobStore.create(tmp_path / "sw", [job])
+        trace_path = store.trace_path("job-000001")
+        _run_store_job(str(store.root), "job-000001", 10)
+        undisturbed = trace_path.read_text()
+        lines = undisturbed.splitlines(keepends=True)
+        cut = next(
+            i
+            for i, line in enumerate(lines)
+            if '"checkpoint"' in line and json.loads(line)["round"] >= 20
+        )
+        text = "".join(lines[: cut + 4])
+        trace_path.write_text(text[:-25] if torn else text)
+        store.result_path("job-000001").unlink()
+
+        results = run_store(store, workers=1, checkpoint_every=10)
+        assert results["job-000001"] == serial
+        resumed = trace_path.read_text()
+        rounds = [
+            json.loads(line)["round"] for line in resumed.splitlines()[1:]
+        ]
+        assert rounds == list(range(serial.rounds))
+        assert resumed == undisturbed
+
     def test_resume_engine_reproduces_tail(self):
         from repro.core.algorithm import GatherOnGrid
         from repro.engine.scheduler import RoundEngine

@@ -1,5 +1,7 @@
 """Unit tests for the run-state machinery (Sections 3.2/3.3, Table 1)."""
 
+import pytest
+
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.quasiline import run_start_sites
@@ -326,3 +328,62 @@ class TestOneThickContours:
         ):
             r = gather(cells)
             assert r.gathered, f"1-thick shape {cells} must gather"
+
+
+class TestForkRestore:
+    """``RunManager.fork``/``restore``: one planned round, committed
+    several times, and the checkpoint pair built on the same values."""
+
+    def planned_round(self):
+        ctrl = GatherOnGrid(CFG)
+        engine = RoundEngine(SwarmState(ring(16)), ctrl)
+        for _ in range(3):
+            engine.step()
+        state = engine.state.copy()
+        moves = dict(ctrl.plan_round(state, engine.round_index))
+        return ctrl, state, moves, engine.round_index
+
+    def test_restored_fork_commits_identically(self):
+        ctrl, state, moves, rnd = self.planned_round()
+        mgr = ctrl.run_manager
+        fork = mgr.fork()
+        assert fork.planned and fork.runs
+        outcomes = []
+        for _ in range(2):
+            mgr.restore(fork)
+            assert mgr.fork() == fork
+            branch = state.copy()
+            branch.apply_moves(moves)
+            outcomes.append(
+                (mgr.finalize(moves, branch.cells), mgr.fork())
+            )
+        assert outcomes[0] == outcomes[1]
+        # finalize consumed the manager's containers, never the fork's
+        assert fork.planned and mgr.fork().planned == ()
+
+    def test_partial_commit_leaves_the_fork_intact(self):
+        ctrl, state, moves, rnd = self.planned_round()
+        mgr = ctrl.run_manager
+        fork = mgr.fork()
+        mgr.restore(fork)
+        mgr.finalize({}, state.cells)  # a stall round
+        mgr.restore(fork)
+        assert mgr.fork() == fork
+
+    def test_checkpoint_is_a_fork_without_planned_records(self):
+        from repro.errors import InvariantError
+        from repro.trace.replay import (
+            checkpoint_fork,
+            controller_checkpoint,
+            restore_controller,
+        )
+
+        ctrl, state, moves, rnd = self.planned_round()
+        with pytest.raises(InvariantError, match="planned records"):
+            controller_checkpoint(ctrl)
+        merged = state.apply_moves(moves)
+        ctrl.notify_applied(state, rnd, moves, merged)
+        fork = ctrl.run_manager.fork()
+        checkpoint = controller_checkpoint(ctrl)
+        assert checkpoint_fork(checkpoint) == fork
+        assert restore_controller(checkpoint).run_manager.fork() == fork

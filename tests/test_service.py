@@ -44,6 +44,7 @@ from repro.service.server import ServiceServer
 from repro.service.sse import StreamHub, format_event
 from repro.trace.recorder import CheckpointRecorder, read_trace
 from repro.trace.replay import controller_checkpoint
+from repro.trace.tail import follow_rounds
 
 
 def submit_request(payload: dict) -> Request:
@@ -591,6 +592,50 @@ class TestRestartAndResume:
         assert meta["run_id"] == rid
         indexes = [row.round_index for row in rows]
         assert indexes == list(range(record["metrics"]["rounds"]))
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_resume_past_a_checkpoint_leaves_one_contiguous_trace(
+        self, tmp_path, torn
+    ):
+        """A worker killed three rows after a checkpoint, optionally
+        mid-row: the resumed run rewrites nothing already on disk, ends
+        with the undisturbed trace, and a follower attached across the
+        crash sees every round once."""
+        params = {"family": "ring", "n": 48, "seed": 7}
+        registry = RunRegistry(tmp_path)
+        rid = registry.create(validate_params(params)).run_id
+        execute_run(str(tmp_path), rid, checkpoint_every=4)
+        path = registry.trace_path(rid)
+        undisturbed = path.read_text()
+        lines = undisturbed.splitlines(keepends=True)
+        cut = next(
+            i
+            for i, line in enumerate(lines)
+            if '"checkpoint"' in line and json.loads(line)["round"] == 8
+        )
+        text = "".join(lines[: cut + 4])
+        path.write_text(text[:-25] if torn else text)
+        on_disk = cut + 2 if torn else cut + 3  # complete round rows
+
+        done = threading.Event()
+        follower = follow_rounds(
+            str(path), poll_interval=0.001, stop=done.is_set
+        )
+        seen = [next(follower) for _ in range(on_disk)]
+        execute_run(str(tmp_path), rid, checkpoint_every=4)
+        done.set()
+        seen += list(follower)
+
+        record = registry.get(rid)
+        assert record.status == "done"
+        assert record.resumed_from_round == 8
+        direct = simulate(Scenario(**params), max_rounds=None).summary()
+        assert record.metrics["rounds"] == direct["rounds"]
+        assert record.metrics["robots_final"] == direct["robots_final"]
+        assert path.read_text() == undisturbed
+        assert [row.round_index for row in seen] == list(
+            range(direct["rounds"])
+        )
 
     def test_interrupted_unstarted_run_is_requeued(self, tmp_path):
         registry = RunRegistry(tmp_path)

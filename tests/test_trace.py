@@ -1,13 +1,21 @@
 """Unit tests for trace recording, deterministic replay, and tailing."""
 
 import io
+import json
 import threading
+
+import pytest
 
 from repro.core.algorithm import GatherOnGrid
 from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import ring
-from repro.trace.recorder import TraceRecorder, load_trace
+from repro.trace.recorder import (
+    TraceRecorder,
+    load_trace,
+    read_resumable_trace,
+    read_trace,
+)
 from repro.trace.replay import replay, verify_trace
 from repro.trace.tail import follow_rounds
 
@@ -40,6 +48,43 @@ class TestRecorder:
         payload = record(ring(8), 1)
         rows = load_trace(payload.splitlines())
         assert list(rows[0].cells) == sorted(rows[0].cells)
+
+
+class TestTornTraces:
+    """A crash can cut the last row short; only that row may be lost."""
+
+    def test_unterminated_torn_last_line_is_skipped(self):
+        payload = record(ring(8), 3)
+        torn = payload[:-25]
+        lines = io.StringIO(torn).readlines()
+        meta, rows = read_trace(lines)
+        assert meta == {"shape": "test"}
+        assert [r.round_index for r in rows] == [0, 1]
+        # splitlines() input carries no newlines; the last line still
+        # counts as the torn one.
+        assert len(load_trace(torn.splitlines())) == 2
+
+    def test_parse_error_elsewhere_still_raises(self):
+        payload = record(ring(8), 3)
+        lines = io.StringIO(payload).readlines()
+        # a terminated garbage line at the end
+        with pytest.raises(json.JSONDecodeError):
+            read_trace(lines + ["{not json\n"])
+        # an unterminated garbage line that is not the last one
+        garbled = payload.splitlines()
+        garbled[1] = garbled[1][:-5]
+        with pytest.raises(json.JSONDecodeError):
+            read_trace(garbled)
+
+    def test_read_resumable_trace_cuts_the_torn_tail(self, tmp_path):
+        payload = record(ring(8), 3)
+        path = tmp_path / "t.jsonl"
+        path.write_text(payload[:-25])
+        meta, rows = read_resumable_trace(path)
+        assert [r.round_index for r in rows] == [0, 1]
+        complete = "".join(io.StringIO(payload).readlines()[:3])
+        assert path.read_text() == complete
+        assert read_resumable_trace(tmp_path / "missing.jsonl") == ({}, [])
 
 
 class TestReplay:
@@ -135,3 +180,42 @@ class TestFollowRounds:
             )
         )
         assert [r.round_index for r in rows] == [0, 1]
+
+    def test_duplicated_rows_are_not_yielded_twice(self, tmp_path):
+        # A writer that resumes from an earlier checkpoint and appends
+        # rounds the follower already yielded: they are skipped.
+        path = tmp_path / "dup.jsonl"
+        lines = io.StringIO(record(ring(12), 6)).readlines()
+        path.write_text("".join(lines[:5]))  # header + rounds 0..3
+        done = threading.Event()
+        follower = follow_rounds(
+            str(path), poll_interval=0.001, stop=done.is_set
+        )
+        seen = [next(follower) for _ in range(4)]
+        with path.open("a") as fh:
+            fh.write("".join(lines[3:]))  # rounds 2..5
+        done.set()
+        seen += list(follower)
+        assert [r.round_index for r in seen] == [0, 1, 2, 3, 4, 5]
+
+    def test_rewritten_torn_row_is_read_from_its_start(self, tmp_path):
+        # The torn row and its rewrite need not be byte-identical (here
+        # the torn one carried a checkpoint): the follower re-reads the
+        # whole rewritten line instead of gluing bytes onto the tear.
+        path = tmp_path / "torn.jsonl"
+        lines = io.StringIO(record(ring(12), 6)).readlines()
+        row4 = json.loads(lines[5])
+        row4["checkpoint"] = {"next_id": 0, "runs": []}
+        path.write_text("".join(lines[:5]) + json.dumps(row4)[:-10])
+        done = threading.Event()
+        follower = follow_rounds(
+            str(path), poll_interval=0.001, stop=done.is_set
+        )
+        seen = [next(follower) for _ in range(4)]
+        read_resumable_trace(path)  # the resumed writer cuts the tear
+        with path.open("a") as fh:
+            fh.write("".join(lines[5:]))  # rounds 4..5
+        done.set()
+        seen += list(follower)
+        assert [r.round_index for r in seen] == [0, 1, 2, 3, 4, 5]
+        assert seen[4].checkpoint is None
