@@ -15,10 +15,10 @@ and the sweep's results are identical to an undisturbed run
 For long simulations :class:`SweepJobStore` adds durability on top:
 jobs live in a directory (``spec.json`` + ``results/*.json`` +
 ``traces/*.jsonl``), grid-strategy jobs record checkpointed traces
-(:class:`~repro.trace.recorder.CheckpointRecorder`), and
-:func:`run_store` resumes interrupted jobs from their last checkpoint
-instead of from round zero — the CLI's ``sweep`` subcommands are a thin
-shell over this module.
+(:class:`~repro.trace.recorder.TraceRecorder` with a ``checkpoint_fn``),
+and :func:`run_store` resumes interrupted jobs from their last
+checkpoint instead of from round zero — the CLI's ``sweep`` subcommands
+are a thin shell over this module.
 
 Determinism: results never depend on worker count, scheduling, or
 recovery.  Jobs are pure functions of their (picklable) descriptions,
@@ -588,7 +588,7 @@ def _run_grid_job_checkpointed(
     from repro.engine.termination import default_round_budget
     from repro.grid.occupancy import SwarmState
     from repro.swarms.generators import family
-    from repro.trace.recorder import CheckpointRecorder, read_resumable_trace
+    from repro.trace.recorder import TraceRecorder, read_resumable_trace
     from repro.trace.replay import (
         controller_checkpoint,
         last_checkpoint,
@@ -635,12 +635,12 @@ def _run_grid_job_checkpointed(
         mode = "w"
     with trace_path.open(mode) as fh:
         # Resuming: the rows after the checkpoint are already on disk.
-        recorder = CheckpointRecorder(
+        recorder = TraceRecorder(
             fh,
-            lambda: controller_checkpoint(engine.controller),
-            meta=meta,
+            meta,
+            checkpoint_fn=lambda: controller_checkpoint(engine.controller),
             every=checkpoint_every,
-            resume_after=rows[-1].round_index if mode == "a" else None,
+            resume_after=rows[-1] if mode == "a" else None,
         )
         engine.on_round = recorder
         result = engine.run(max_rounds=budget)

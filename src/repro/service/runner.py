@@ -15,8 +15,9 @@ Two execution paths, mirroring the sweep store
 (:func:`repro.analysis.orchestrator._run_grid_job_checkpointed`):
 
 * plain grid/FSYNC runs go through ``simulate()`` with a pre-built
-  controller and a :class:`~repro.trace.recorder.CheckpointRecorder`
-  hook, so a killed run resumes from its last embedded checkpoint via
+  controller and a checkpointing
+  :class:`~repro.trace.recorder.TraceRecorder` hook, so a killed run
+  resumes from its last embedded checkpoint via
   :func:`repro.trace.replay.resume_engine` — continuing the *same*
   trajectory, with metrics identical to an undisturbed run, and
   appending only the rounds its trace does not hold yet;
@@ -32,7 +33,6 @@ this).
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,11 +43,7 @@ from repro.engine.events import EventLog
 from repro.engine.protocols import Scenario, SimContext
 from repro.engine.termination import default_round_budget
 from repro.service.records import RunRegistry
-from repro.trace.recorder import (
-    CheckpointRecorder,
-    TraceRecorder,
-    read_resumable_trace,
-)
+from repro.trace.recorder import TraceRecorder, read_resumable_trace
 from repro.trace.replay import (
     controller_checkpoint,
     last_checkpoint,
@@ -201,12 +197,14 @@ def _execute_grid_checkpointed(
         budget = int(meta["budget"])
         n0 = int(meta["n"])
         with trace_path.open("a") as fh:
-            recorder = CheckpointRecorder(
+            recorder = TraceRecorder(
                 fh,
-                lambda: controller_checkpoint(engine.controller),
-                meta=meta,
+                meta,
+                checkpoint_fn=lambda: controller_checkpoint(
+                    engine.controller
+                ),
                 every=checkpoint_every,
-                resume_after=rows[-1].round_index,
+                resume_after=rows[-1],
             )
             engine.on_round = _flushing(recorder)
             result = engine.run(max_rounds=budget)
@@ -248,15 +246,13 @@ def _execute_grid_checkpointed(
     )
     meta["initial_diameter"] = _span(meta["initial_cells"])
     with trace_path.open("w") as fh:
-        fh.write(_header_line(meta))
-        fh.flush()
-        recorder = CheckpointRecorder(
+        recorder = TraceRecorder(
             fh,
-            lambda: controller_checkpoint(controller),
-            meta=meta,
+            meta,
+            checkpoint_fn=lambda: controller_checkpoint(controller),
             every=checkpoint_every,
         )
-        recorder._wrote_header = True  # header written eagerly above
+        recorder.write_header()
         result = simulate(
             scenario,
             strategy="grid",
@@ -289,10 +285,8 @@ def _execute_plain(
     meta = _header_meta(run_id, params, scheduler_key, cells)
     trace_path = registry.trace_path(run_id)
     with trace_path.open("w") as fh:
-        fh.write(_header_line(meta))
-        fh.flush()
-        recorder = TraceRecorder(fh, meta=meta)
-        recorder._wrote_header = True
+        recorder = TraceRecorder(fh, meta)
+        recorder.write_header()
         result = simulate(
             scenario,
             strategy=strategy,
@@ -307,10 +301,6 @@ def _execute_plain(
             **dict(params.get("options") or {}),
         )
     return result.summary(), _terminal_events(result.events), None
-
-
-def _header_line(meta: Dict[str, Any]) -> str:
-    return json.dumps({"type": "header", **meta}) + "\n"
 
 
 def _span(cells: List[Any]) -> float:

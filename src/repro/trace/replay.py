@@ -164,7 +164,8 @@ def resume_engine(
     if row.checkpoint is None:
         raise ValueError(
             f"trace row for round {row.round_index} carries no "
-            f"checkpoint; resume needs a CheckpointRecorder trace"
+            f"checkpoint; resume needs a trace recorded with "
+            f"TraceRecorder(checkpoint_fn=...)"
         )
     engine = RoundEngine(
         SwarmState(row.cells),

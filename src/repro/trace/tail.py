@@ -4,9 +4,12 @@ The serving layer (:mod:`repro.service`) runs simulations in worker
 *processes* that flush one trace row per round; the server process
 turns those rows into Server-Sent Events by following the file as it
 grows.  :func:`follow_rounds` is that follower: a generator yielding
-:class:`~repro.trace.recorder.TraceRow` objects in round order, safe
-against partially written lines (only newline-terminated lines are
-parsed), against a resumed writer (no round is yielded twice) and
+:class:`~repro.trace.recorder.TraceRow` objects in round order, with
+full cells rebuilt from keyframe and delta rows by the same
+:class:`~repro.trace.recorder.TraceDecoder` that
+:func:`~repro.trace.recorder.read_trace` uses.  It is safe against
+partially written lines (only newline-terminated lines are parsed),
+against a resumed writer (no round is decoded or yielded twice) and
 against the file not existing yet (it waits).
 
 ``stop`` decouples termination from the file contents: traces do not
@@ -26,21 +29,7 @@ import os
 import time
 from typing import Callable, Iterator, Optional
 
-from repro.trace.recorder import TraceRow
-
-
-def _parse_row(line: str) -> Optional[TraceRow]:
-    try:
-        obj = json.loads(line)
-    except ValueError:
-        return None
-    if obj.get("type") != "round":
-        return None
-    return TraceRow(
-        round_index=int(obj["round"]),
-        cells=tuple((int(x), int(y)) for x, y in obj["cells"]),
-        checkpoint=obj.get("checkpoint"),
-    )
+from repro.trace.recorder import TraceDecoder, TraceRow
 
 
 def follow_rounds(
@@ -53,13 +42,17 @@ def follow_rounds(
     """Yield trace rows from ``path`` as they are appended.
 
     Header and unknown rows are skipped; rows with
-    ``round_index < start_round`` are skipped (resume support: a
-    re-attached stream can ask only for the tail).  Round indexes only
-    increase: a row whose round was already yielded is skipped, so a
-    writer that resumes a killed run never shows a round twice.  The
+    ``round_index < start_round`` are decoded but not yielded (resume
+    support: a re-attached stream can ask only for the tail).  Round
+    indexes only increase: a row whose round was already decoded is
+    skipped before decoding, so a writer that resumes a killed run
+    never shows a round twice and never applies a delta twice.  The
     follower's file position only advances past complete lines, so a
     resumed writer that cuts a torn final line off the file and
-    rewrites it is read from the start of that line.
+    rewrites it is read from the start of that line.  A complete line
+    that does not parse raises, as in
+    :func:`~repro.trace.recorder.read_trace`: skipping it would leave
+    every later delta applied to the wrong cells.
 
     The generator ends when ``stop()`` returns true *and* every
     complete line written so far has been yielded — so a consumer that
@@ -67,8 +60,9 @@ def follow_rounds(
     rounds.  With no ``stop`` predicate it follows forever (callers
     must close it).
     """
+    decoder = TraceDecoder()
     position = 0
-    next_round = start_round
+    decoded = -1  # the last round decoded
     while True:
         done = stop() if stop is not None else False
         grew = False
@@ -81,9 +75,14 @@ def follow_rounds(
                 grew = True
                 position += end
                 for raw in chunk[:end].splitlines():
-                    row = _parse_row(raw.decode("utf-8"))
-                    if row is not None and row.round_index >= next_round:
-                        next_round = row.round_index + 1
+                    if not raw.strip():
+                        continue
+                    obj = json.loads(raw)
+                    if obj.get("type") != "round" or obj["round"] <= decoded:
+                        continue
+                    row = decoder.decode(obj)
+                    decoded = row.round_index
+                    if decoded >= start_round:
                         yield row
         if done and not grew:
             return

@@ -12,12 +12,19 @@ activation, fault or staleness draw.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
 import pytest
 
-from tools.make_goldens import SCHEDULE_SCENARIOS, run_schedule_scenario
+from repro.trace.recorder import load_trace
+
+from tools.make_goldens import (
+    SCHEDULE_SCENARIOS,
+    _state_digest,
+    run_schedule_scenario,
+)
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_schedules.json"
@@ -36,11 +43,17 @@ def test_every_row_has_a_scenario(golden):
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_SCENARIOS))
 def test_schedule_matches_golden(name, golden):
-    got = run_schedule_scenario(name)
+    trace = io.StringIO()
+    got = run_schedule_scenario(name, trace=trace)
     gold = golden[name]
     for key in ("rounds", "gathered", "terminal", "activations",
                 "byzantine_actions", "state_hashes"):
         assert got[key] == gold[key], f"{name}: {key} diverged"
+    decoded = [
+        _state_digest(row.cells)
+        for row in load_trace(trace.getvalue().splitlines())
+    ]
+    assert decoded == gold["state_hashes"], f"{name}: trace decode"
     assert got["event_hashes"] == gold["event_hashes"], (
         f"{name}: events diverged"
     )

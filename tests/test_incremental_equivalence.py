@@ -23,14 +23,16 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
 import pytest
 
 from repro.core.config import AlgorithmConfig
+from repro.trace.recorder import load_trace
 
-from tools.make_goldens import SCENARIOS, run_scenario
+from tools.make_goldens import SCENARIOS, _state_digest, run_scenario
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_trajectories.json"
@@ -71,8 +73,15 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_incremental_matches_full_and_seed(name, golden):
-    on = run_scenario(SCENARIOS[name], AlgorithmConfig(incremental=True))
+    trace = io.StringIO()
+    on = run_scenario(
+        SCENARIOS[name], AlgorithmConfig(incremental=True), trace=trace
+    )
     off = run_scenario(SCENARIOS[name], AlgorithmConfig(incremental=False))
+    decoded = [
+        _state_digest(row.cells)
+        for row in load_trace(trace.getvalue().splitlines())
+    ]
 
     # Layer 1: the incremental pipeline is bit-identical to full rescans.
     assert on == off, f"{name}: incremental mode changed the trajectory"
@@ -82,7 +91,11 @@ def test_incremental_matches_full_and_seed(name, golden):
     gold = golden[name]
     if name in TRAJECTORY_CHANGED:
         assert on["gathered"], f"{name}: must still gather"
+        assert decoded == on["state_hashes"], f"{name}: trace decode"
     else:
+        # The recorded trace decodes to the seed's states, round for
+        # round.
+        assert decoded == gold["state_hashes"], f"{name}: trace decode"
         for key in STATE_KEYS:
             assert on[key] == gold[key], f"{name}: {key} diverged from seed"
         # fold/merge events are derived from the moves: always preserved

@@ -273,12 +273,50 @@ class TestCheckpointResume:
         assert rounds == list(range(serial.rounds))
         assert resumed == undisturbed
 
+    def test_full_cell_trace_still_reads_and_resumes(self, tmp_path):
+        """A checkpointed trace written before delta rows existed (every
+        row holds every cell) decodes to the same rows, and resuming it
+        ends with the rows of an undisturbed run."""
+        from repro.trace.recorder import read_trace
+
+        job = SweepJob(family="ring", n=72, check_connectivity=False)
+        serial = run_jobs([job])[0]
+        store = SweepJobStore.create(tmp_path / "sw", [job])
+        trace_path = store.trace_path("job-000001")
+        _run_store_job(str(store.root), "job-000001", 10)
+        lines = trace_path.read_text().splitlines()
+        meta, rows = read_trace(lines)
+        full = [lines[0]]
+        for row in rows:
+            obj = {"type": "round", "round": row.round_index}
+            obj["cells"] = [list(cell) for cell in row.cells]
+            if row.checkpoint is not None:
+                obj["checkpoint"] = row.checkpoint
+            full.append(json.dumps(obj))
+        assert sum('"cells"' in line for line in lines) < len(rows)
+        assert read_trace(full) == (meta, rows)
+
+        cut = next(
+            i
+            for i, row in enumerate(rows)
+            if row.checkpoint is not None and row.round_index >= 20
+        )
+        trace_path.write_text("\n".join(full[: cut + 4]) + "\n")
+        store.result_path("job-000001").unlink()
+
+        results = run_store(store, workers=1, checkpoint_every=10)
+        assert results["job-000001"] == serial
+        resumed = trace_path.read_text().splitlines()
+        assert read_trace(resumed) == (meta, rows)
+        assert resumed[: cut + 4] == full[: cut + 4]
+        assert '"vacated"' in resumed[cut + 4]
+
     def test_resume_engine_reproduces_tail(self):
         from repro.core.algorithm import GatherOnGrid
         from repro.engine.scheduler import RoundEngine
         from repro.grid.occupancy import SwarmState
         from repro.swarms.generators import ring
-        from repro.trace.recorder import CheckpointRecorder, read_trace
+        from repro.trace.recorder import TraceRecorder, read_trace
         from repro.trace.replay import (
             controller_checkpoint,
             last_checkpoint,
@@ -287,10 +325,10 @@ class TestCheckpointResume:
 
         buf = io.StringIO()
         ctrl = GatherOnGrid()
-        recorder = CheckpointRecorder(
+        recorder = TraceRecorder(
             buf,
-            lambda: controller_checkpoint(ctrl),
-            meta={"family": "ring"},
+            {"family": "ring"},
+            checkpoint_fn=lambda: controller_checkpoint(ctrl),
             every=20,
         )
         full = []

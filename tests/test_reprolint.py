@@ -313,6 +313,23 @@ class TestD3UnorderedIteration:
         report = _run_snippet("src/repro/engine/example.py", code)
         assert any("reason" in f.message for f in report.active)
 
+    def test_fires_on_unsorted_trace_delta(self):
+        # Trace delta rows are set differences whose bytes resume and
+        # the benchmark compare exactly.
+        code = """
+            def delta(self, state):
+                cells = state.cells
+                return list(self._prev - cells)
+            """
+        rule = UnorderedIterationRule()
+        findings = run_file_rule(rule, "src/repro/trace/example.py", code)
+        assert [f.rule for f in findings] == ["D3"]
+        sorted_code = code.replace("list(", "sorted(")
+        assert (
+            run_file_rule(rule, "src/repro/trace/example.py", sorted_code)
+            == []
+        )
+
 
 # ----------------------------------------------------------------------
 # P1 — purity of the per-run planner

@@ -42,7 +42,7 @@ from repro.service.records import RunRecord, RunRegistry
 from repro.service.runner import checkpointable, execute_run
 from repro.service.server import ServiceServer
 from repro.service.sse import StreamHub, format_event
-from repro.trace.recorder import CheckpointRecorder, read_trace
+from repro.trace.recorder import TraceRecorder, read_trace
 from repro.trace.replay import controller_checkpoint
 from repro.trace.tail import follow_rounds
 
@@ -492,7 +492,7 @@ def interrupt_grid_run(registry, rid, params, rounds, every):
     stop — as if the worker was SIGKILLed mid-run (record still says
     ``running``, trace ends at an arbitrary flushed row)."""
     from repro.api import STRATEGIES
-    from repro.service.runner import _header_line, _span
+    from repro.service.runner import _span
 
     registry.update(rid, status="running", started_at=time.time())
     scenario = Scenario(
@@ -516,14 +516,12 @@ def interrupt_grid_run(registry, rid, params, rounds, every):
         "initial_diameter": _span(unique),
     }
     with registry.trace_path(rid).open("w") as fh:
-        fh.write(_header_line(meta))
-        recorder = CheckpointRecorder(
+        recorder = TraceRecorder(
             fh,
-            lambda: controller_checkpoint(controller),
-            meta=meta,
+            meta,
+            checkpoint_fn=lambda: controller_checkpoint(controller),
             every=every,
         )
-        recorder._wrote_header = True
         engine = RoundEngine(state, controller, on_round=recorder)
         for _ in range(rounds):
             engine.step()

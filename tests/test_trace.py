@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro.api import simulate
+from repro.baselines.chain import hairpin_chain
 from repro.core.algorithm import GatherOnGrid
 from repro.engine.scheduler import RoundEngine
 from repro.grid.occupancy import SwarmState
@@ -20,9 +22,9 @@ from repro.trace.replay import replay, verify_trace
 from repro.trace.tail import follow_rounds
 
 
-def record(cells, rounds):
+def record(cells, rounds, **kwargs):
     buf = io.StringIO()
-    rec = TraceRecorder(buf, meta={"shape": "test"})
+    rec = TraceRecorder(buf, meta={"shape": "test"}, **kwargs)
     engine = RoundEngine(SwarmState(cells), GatherOnGrid(), on_round=rec)
     for _ in range(rounds):
         if engine.state.is_gathered():
@@ -48,6 +50,110 @@ class TestRecorder:
         payload = record(ring(8), 1)
         rows = load_trace(payload.splitlines())
         assert list(rows[0].cells) == sorted(rows[0].cells)
+
+    def test_write_header_up_front(self):
+        eager = io.StringIO()
+        rec = TraceRecorder(eager, meta={"shape": "test"})
+        rec.write_header()
+        assert eager.getvalue() == '{"type": "header", "shape": "test"}\n'
+        engine = RoundEngine(
+            SwarmState(ring(8)), GatherOnGrid(), on_round=rec
+        )
+        for _ in range(3):
+            engine.step()
+        assert eager.getvalue() == record(ring(8), 3)
+
+
+class TestDeltaRows:
+    """Keyframes hold every cell; delta rows only the flipped ones."""
+
+    def test_plain_trace_has_one_keyframe(self):
+        rows = [
+            json.loads(line)
+            for line in record(ring(16), 8).splitlines()[1:]
+        ]
+        assert sorted(rows[0]) == ["cells", "round", "type"]
+        for row in rows[1:]:
+            assert sorted(row) == ["occupied", "round", "type", "vacated"]
+            assert row["vacated"] == sorted(row["vacated"])
+            assert row["occupied"] == sorted(row["occupied"])
+
+    def test_checkpoint_rows_are_keyframes(self):
+        payload = record(
+            ring(16), 8, checkpoint_fn=lambda: {"at": "test"}, every=3
+        )
+        rows = [json.loads(line) for line in payload.splitlines()[1:]]
+        assert ["cells" in row for row in rows] == [
+            row["round"] % 3 == 0 for row in rows
+        ]
+        assert all(
+            ("checkpoint" in row) == ("cells" in row) for row in rows
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, cells",
+        [
+            ("grid", ring(12)),
+            ("chain", hairpin_chain(8)),
+            ("euclidean", ring(6)),
+        ],
+    )
+    def test_decoded_rows_equal_the_trajectory(self, strategy, cells):
+        # Euclidean rows hold floats and, late in the run, two robots on
+        # one point: they must decode as written, not rounded to ints.
+        buf = io.StringIO()
+        result = simulate(
+            cells, strategy=strategy, trace=buf, record_trajectory=True
+        )
+        rows = load_trace(buf.getvalue().splitlines())
+        assert [row.round_index for row in rows] == list(
+            range(result.rounds)
+        )
+        assert [row.cells for row in rows] == [
+            tuple(sorted(frame)) for frame in result.trajectory
+        ]
+
+    def test_rows_share_cell_objects(self):
+        rows = load_trace(record(ring(16), 8).splitlines())
+        first = {id(cell) for cell in rows[0].cells}
+        assert any(id(cell) in first for cell in rows[-1].cells)
+
+
+class TestDecoderErrors:
+    """A delta that does not fit the cells it follows raises, naming
+    its round, in both readers."""
+
+    KEYFRAME = '{"type": "round", "round": 0, "cells": [[0, 0], [0, 1]]}\n'
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ['{"type": "round", "round": 3, "vacated": [], '
+                 '"occupied": [[0, 0]]}\n'],
+                "round 3: delta row before any keyframe",
+            ),
+            (
+                [KEYFRAME,
+                 '{"type": "round", "round": 1, "vacated": [[5, 5]], '
+                 '"occupied": []}\n'],
+                "round 1: delta vacates the empty cell",
+            ),
+            (
+                [KEYFRAME,
+                 '{"type": "round", "round": 1, "vacated": [], '
+                 '"occupied": [[0, 1]]}\n'],
+                "round 1: delta occupies the full cell",
+            ),
+        ],
+    )
+    def test_bad_delta_raises(self, tmp_path, lines, message):
+        with pytest.raises(ValueError, match=message):
+            read_trace(lines)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=message):
+            list(follow_rounds(str(path), stop=lambda: True))
 
 
 class TestTornTraces:
@@ -180,6 +286,14 @@ class TestFollowRounds:
             )
         )
         assert [r.round_index for r in rows] == [0, 1]
+
+    def test_complete_garbage_line_raises(self, tmp_path):
+        # Skipping it would apply every later delta to the wrong cells.
+        path = tmp_path / "garbled.jsonl"
+        lines = io.StringIO(record(ring(8), 3)).readlines()
+        path.write_text("".join(lines[:2]) + "{not json\n" + lines[2])
+        with pytest.raises(json.JSONDecodeError):
+            list(follow_rounds(str(path), stop=lambda: True))
 
     def test_duplicated_rows_are_not_yielded_twice(self, tmp_path):
         # A writer that resumes from an earlier checkpoint and appends

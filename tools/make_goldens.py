@@ -51,6 +51,7 @@ from repro.swarms.generators import (
     spiral,
     staircase_corridor,
 )
+from repro.trace.recorder import TraceRecorder
 
 #: Non-trajectory event kinds, excluded from golden hashes: engine
 #: terminals (the seed never emitted them), the incremental pipeline's
@@ -119,13 +120,20 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()[:12]
 
 
-def run_scenario(make_cells, cfg: AlgorithmConfig | None = None) -> dict:
+def run_scenario(
+    make_cells, cfg: AlgorithmConfig | None = None, trace=None
+) -> dict:
+    """Gather one scenario; ``trace`` (a text buffer) also records the
+    run's JSONL trace, which the equivalence suite decodes."""
     snapshots: list[str] = []
-    result = gather(
-        make_cells(),
-        cfg,
-        on_round=lambda i, state: snapshots.append(_state_digest(state.cells)),
-    )
+    recorder = TraceRecorder(trace) if trace is not None else None
+
+    def on_round(i, state):
+        snapshots.append(_state_digest(state.cells))
+        if recorder is not None:
+            recorder(i, state)
+
+    result = gather(make_cells(), cfg, on_round=on_round)
     event_hashes = [
         _events_digest(result.events, i) for i in range(result.rounds)
     ]
@@ -213,8 +221,9 @@ def _round_event_hashes(events, rounds: int) -> list:
     return [_digest(row) for row in lines]
 
 
-def run_schedule_scenario(name: str) -> dict:
-    """Simulate one :data:`SCHEDULE_SCENARIOS` row; returns its record."""
+def run_schedule_scenario(name: str, trace=None) -> dict:
+    """Simulate one :data:`SCHEDULE_SCENARIOS` row; returns its record.
+    ``trace`` (a text buffer) also records the run's JSONL trace."""
     from repro.api import simulate
 
     strategy, model, fam, check = SCHEDULE_SCENARIOS[name]
@@ -226,6 +235,7 @@ def run_schedule_scenario(name: str) -> dict:
         max_rounds=SCHEDULE_MAX_ROUNDS,
         check_connectivity=check,
         on_round=lambda i, s: snapshots.append(_state_digest(s.cells)),
+        trace=trace,
         **SCHEDULE_MODELS[model],
     )
     terminals = [e.kind for e in result.events if e.kind in TERMINAL_KINDS]

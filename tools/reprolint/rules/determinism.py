@@ -15,12 +15,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from tools.reprolint.engine import FileRule, Finding, SourceFile
 
 #: The layers whose iteration order reaches trajectories, event logs, or
-#: RunResult fields (goldens hash all three).
+#: RunResult fields (goldens hash all three), plus the trace writer:
+#: its delta rows come from set differences, and trace bytes are
+#: compared exactly (resume byte-identity, benchmark pass digests).
 ORDER_SENSITIVE_PREFIXES: Tuple[str, ...] = (
     "src/repro/core/",
     "src/repro/engine/",
     "src/repro/explore/",
     "src/repro/grid/",
+    "src/repro/trace/",
 )
 
 #: Paths whose *wall-clock* reads are legitimate (D2 still flags their

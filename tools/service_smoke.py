@@ -11,7 +11,10 @@ lifecycle the dashboard depends on:
    ``repro.api.simulate()`` with the same parameters;
 4. ``GET /runs/<id>/frame.svg`` returns a rendered SVG frame;
 5. ``GET /runs/<id>/events`` replays every round event in order;
-6. ``GET /health`` and ``GET /metrics`` answer with sane counters.
+6. ``GET /runs/<id>/trace`` decodes (``read_trace``) to one row per
+   round, the last equal to the direct run's final cells, and each
+   row's robot count equals its SSE ``round`` event's;
+7. ``GET /health`` and ``GET /metrics`` answer with sane counters.
 
 Exit status 0 on success, 1 with a diagnostic on the first failure.
 CI's ``service-smoke`` job runs this on every PR.
@@ -34,6 +37,7 @@ from repro.api import simulate
 from repro.engine.protocols import Scenario
 from repro.service.app import ServiceApp
 from repro.service.server import ServiceServer
+from repro.trace.recorder import read_trace
 
 SCENARIO = {"family": "blob", "n": 24, "seed": 3}
 
@@ -90,7 +94,8 @@ def poll_until_done(host, port, run_id, deadline_s=120.0):
 
 
 def sse_rounds(body: bytes):
-    """Round indexes, in stream order, from a raw SSE byte stream."""
+    """``round`` event payloads, in stream order, from a raw SSE byte
+    stream."""
     rounds = []
     for block in body.decode("utf-8").split("\n\n"):
         name = data = None
@@ -100,7 +105,7 @@ def sse_rounds(body: bytes):
             elif line.startswith("data: "):
                 data = line[len("data: "):]
         if name == "round" and data is not None:
-            rounds.append(json.loads(data)["round"])
+            rounds.append(json.loads(data))
     return rounds
 
 
@@ -129,7 +134,8 @@ def run_smoke(data_dir: str) -> None:
             f"run ended {record['status']}: {record.get('error')}",
         )
         metrics = record["metrics"]
-        direct = simulate(Scenario(**SCENARIO)).summary()
+        direct_result = simulate(Scenario(**SCENARIO))
+        direct = direct_result.summary()
         check(
             metrics == direct,
             f"service metrics diverge from direct simulate():\n"
@@ -155,12 +161,34 @@ def run_smoke(data_dir: str) -> None:
             host, port, f"/runs/{run_id}/events"
         )
         check(status == 200, f"events -> {status}")
-        rounds = sse_rounds(stream)
+        events = sse_rounds(stream)
+        rounds = [event["round"] for event in events]
         check(
             rounds == list(range(metrics["rounds"])),
             f"SSE rounds {rounds} != 0..{metrics['rounds'] - 1}",
         )
         print(f"SSE replayed {len(rounds)} rounds in order")
+
+        status, raw = request_raw(host, port, f"/runs/{run_id}/trace")
+        check(status == 200, f"trace -> {status}")
+        _, rows = read_trace(raw.decode("utf-8").splitlines())
+        check(
+            [row.round_index for row in rows] == rounds,
+            f"trace has rounds {[row.round_index for row in rows]}, "
+            f"expected 0..{metrics['rounds'] - 1}",
+        )
+        final = tuple(sorted(direct_result.final_state.cells))
+        check(
+            rows[-1].cells == final,
+            f"last trace row {rows[-1].cells} != final cells {final}",
+        )
+        robots = [len(row.cells) for row in rows]
+        sse_robots = [event["robots"] for event in events]
+        check(
+            robots == sse_robots,
+            f"trace robot counts {robots} != SSE {sse_robots}",
+        )
+        print(f"trace decoded: {len(rows)} rows, last = final cells")
 
         status, health = request_json(host, port, "GET", "/health")
         check(status == 200, f"/health -> {status}")
