@@ -51,10 +51,10 @@ EXECUTORS_DOC_PATH = os.path.join(_REPO_ROOT, "docs", "executors.md")
 #: Steady-state instances recorded in ``BENCH_ring.json``: (name,
 #: factory, warm-up rounds, measured rounds).  The ring family and
 #: blob_1500 definitions are frozen across PRs (the committed JSON is
-#: the cross-PR trajectory); solid_3600 and spiral_1000 were added with
-#: the run-granular/start-site work — long-lived instances whose
-#: measured window spans run-start rounds, so the start-site index and
-#: the merge-cache strategy choice are actually exercised.
+#: the cross-PR trajectory); solid_3600 and spiral_1000 are long-lived
+#: instances whose measured window spans run-start rounds, so the
+#: start-site index is actually exercised, and solid_3600's wide lines
+#: make the merge cache's dirty-line scans long.
 BENCH_RING_INSTANCES = (
     ("ring_252", lambda: ring(64), 10, 100),
     ("ring_508", lambda: ring(128), 10, 100),

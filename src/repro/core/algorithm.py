@@ -16,7 +16,7 @@ The controller plugs into :class:`repro.engine.RoundEngine`.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.core.config import AlgorithmConfig
 from repro.core.incremental import IncrementalPipeline
@@ -37,7 +37,6 @@ class GatherOnGrid:
         self.cfg = cfg or AlgorithmConfig()
         self.run_manager = RunManager(self.cfg)
         self.events = EventLog()
-        self._last_patterns: Tuple[str, ...] = ()
         self._pipeline = (
             IncrementalPipeline(self.cfg) if self.cfg.incremental else None
         )
@@ -57,7 +56,7 @@ class GatherOnGrid:
 
         # Step 1: merge operations (state-free).
         if pipeline is not None:
-            merge_moves, patterns = pipeline.plan_merges(state)
+            merge_moves, _ = pipeline.plan_merges(state)
             # Audit trail of the incremental boundary maintenance: one
             # event per round listing every spliced/re-traced arc as a
             # ``(cycle_id, arc_sides, removed_sides)`` triple (cycle id
@@ -72,8 +71,7 @@ class GatherOnGrid:
                     arcs=[list(r) for r in resplices],
                 )
         else:
-            merge_moves, patterns = plan_merges(state, cfg)
-        self._last_patterns = tuple(p.kind for p in patterns)
+            merge_moves, _ = plan_merges(state, cfg)
 
         if not cfg.enable_runs:
             return merge_moves

@@ -30,7 +30,17 @@ Simultaneity is resolved exactly in the spirit of the paper's Figure 3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.config import AlgorithmConfig
 from repro.grid.geometry import Cell, add, neighbors4, perpendicular, sub
@@ -72,136 +82,77 @@ def _runs_of(positions: List[int]) -> Iterable[Tuple[int, int]]:
     yield (start, prev)
 
 
-def _h_run_pattern(
-    y: int, x0: int, x1: int, cells: Set[Cell]
-) -> Optional[MergePattern]:
-    """The bump candidate of one maximal horizontal run ``[x0, x1]`` of
-    row ``y`` (already known to be within the length bound), or ``None``.
-
-    The single source of truth for horizontal bump construction: the
-    full-line enumerator and the run-granular cache both call it, so a
-    cached candidate is value-identical to a full-scan one by
-    construction.
-    """
-    xs = range(x0, x1 + 1)
-    yn, ys = y + 1, y - 1
-    north_free = all((x, yn) not in cells for x in xs)
-    south_free = all((x, ys) not in cells for x in xs)
-    if north_free and not south_free:  # open north, hop south
-        return MergePattern(
-            "bump",
-            tuple((x, y) for x in xs),
-            (0, -1),
-            frozenset((x, ys) for x in xs if (x, ys) in cells),
-        )
-    if south_free and not north_free:  # open south, hop north
-        return MergePattern(
-            "bump",
-            tuple((x, y) for x in xs),
-            (0, 1),
-            frozenset((x, yn) for x in xs if (x, yn) in cells),
-        )
-    return None
-
-
-def _v_run_pattern(
-    x: int, y0: int, y1: int, cells: Set[Cell]
-) -> Optional[MergePattern]:
-    """Vertical twin of :func:`_h_run_pattern` (column ``x``)."""
-    ys_range = range(y0, y1 + 1)
-    xe, xw = x + 1, x - 1
-    east_free = all((xe, y) not in cells for y in ys_range)
-    west_free = all((xw, y) not in cells for y in ys_range)
-    if east_free and not west_free:  # open east, hop west
-        return MergePattern(
-            "bump",
-            tuple((x, y) for y in ys_range),
-            (-1, 0),
-            frozenset((xw, y) for y in ys_range if (xw, y) in cells),
-        )
-    if west_free and not east_free:  # open west, hop east
-        return MergePattern(
-            "bump",
-            tuple((x, y) for y in ys_range),
-            (1, 0),
-            frozenset((xe, y) for y in ys_range if (xe, y) in cells),
-        )
-    return None
-
-
 def _row_bumps(
     y: int, xs_sorted: List[int], cells: Set[Cell], max_len: int
 ) -> List[MergePattern]:
     """Horizontal bump candidates of one row (paper Fig. 2, both hops).
 
     These per-line enumerators are the simulator's hottest full-scan code
-    (profiled: ~40% of a round); the run walk is inlined, the per-run
-    evaluation shares :func:`_h_run_pattern` with the incremental cache.
+    (profiled: ~40% of a round), and :class:`MergeCache` re-runs them on
+    every dirty line, so a cached candidate is value-identical to a
+    full-scan one by construction.  Row ``y``'s candidates read only rows
+    ``y - 1`` to ``y + 1``.
     """
     patterns: List[MergePattern] = []
+    yn, ys = y + 1, y - 1
     for x0, x1 in _runs_of(xs_sorted):
         if x1 - x0 + 1 > max_len:
             continue  # too long to verify locally; runners must reshape it
-        p = _h_run_pattern(y, x0, x1, cells)
-        if p is not None:
-            patterns.append(p)
+        xs = range(x0, x1 + 1)
+        north_free = all((x, yn) not in cells for x in xs)
+        south_free = all((x, ys) not in cells for x in xs)
+        if north_free and not south_free:  # open north, hop south
+            patterns.append(
+                MergePattern(
+                    "bump",
+                    tuple((x, y) for x in xs),
+                    (0, -1),
+                    frozenset((x, ys) for x in xs if (x, ys) in cells),
+                )
+            )
+        elif south_free and not north_free:  # open south, hop north
+            patterns.append(
+                MergePattern(
+                    "bump",
+                    tuple((x, y) for x in xs),
+                    (0, 1),
+                    frozenset((x, yn) for x in xs if (x, yn) in cells),
+                )
+            )
     return patterns
 
 
 def _col_bumps(
     x: int, ys_sorted: List[int], cells: Set[Cell], max_len: int
 ) -> List[MergePattern]:
-    """Vertical bump candidates of one column (paper Fig. 2, both hops)."""
+    """Vertical twin of :func:`_row_bumps` (column ``x``)."""
     patterns: List[MergePattern] = []
+    xe, xw = x + 1, x - 1
     for y0, y1 in _runs_of(ys_sorted):
         if y1 - y0 + 1 > max_len:
             continue
-        p = _v_run_pattern(x, y0, y1, cells)
-        if p is not None:
-            patterns.append(p)
+        ys = range(y0, y1 + 1)
+        east_free = all((xe, y) not in cells for y in ys)
+        west_free = all((xw, y) not in cells for y in ys)
+        if east_free and not west_free:  # open east, hop west
+            patterns.append(
+                MergePattern(
+                    "bump",
+                    tuple((x, y) for y in ys),
+                    (-1, 0),
+                    frozenset((xw, y) for y in ys if (xw, y) in cells),
+                )
+            )
+        elif west_free and not east_free:  # open west, hop east
+            patterns.append(
+                MergePattern(
+                    "bump",
+                    tuple((x, y) for y in ys),
+                    (1, 0),
+                    frozenset((xe, y) for y in ys if (xe, y) in cells),
+                )
+            )
     return patterns
-
-
-def _h_run_of(
-    cells: Set[Cell], c: Cell, max_len: int
-) -> Optional[Tuple[int, int]]:
-    """The maximal horizontal run through occupied ``c`` as ``(x0, x1)``,
-    or ``None`` once it provably exceeds ``max_len`` (the walk is capped,
-    so over-long runs cost O(max_len), never O(run))."""
-    x0, y = c
-    x1 = x0
-    length = 1
-    while (x0 - 1, y) in cells:
-        x0 -= 1
-        length += 1
-        if length > max_len:
-            return None
-    while (x1 + 1, y) in cells:
-        x1 += 1
-        length += 1
-        if length > max_len:
-            return None
-    return x0, x1
-
-
-def _v_run_of(
-    cells: Set[Cell], c: Cell, max_len: int
-) -> Optional[Tuple[int, int]]:
-    """Vertical twin of :func:`_h_run_of` (returns ``(y0, y1)``)."""
-    x, y0 = c
-    y1 = y0
-    length = 1
-    while (x, y0 - 1) in cells:
-        y0 -= 1
-        length += 1
-        if length > max_len:
-            return None
-    while (x, y1 + 1) in cells:
-        y1 += 1
-        length += 1
-        if length > max_len:
-            return None
-    return y0, y1
 
 
 def _bump_patterns(
@@ -383,33 +334,42 @@ def _resolve(
 # ----------------------------------------------------------------------
 # Incremental candidate enumeration (dirty-region restricted rescans)
 # ----------------------------------------------------------------------
-#: Estimated cost of run-granular invalidation per changed cell (anchors
-#: x axes x per-anchor hashing/derivation work), in the same unit as one
-#: occupied cell of a dirty line scan (a plain int-list step).  Measured
-#: on the bench_micro instances: one changed cell costs roughly as much
-#: through the anchor machinery as ~64 line cells through the tight
-#: per-line scans.  Only the crossover point between the two
-#: (identical-result) strategies moves with it: below, the line path;
-#: above — scattered changes over long lines — the run path's O(changed)
-#: bound wins.
-_RUN_COST_FACTOR = 64
+def _refresh_lines(
+    patterns: Dict[int, List[MergePattern]],
+    lines: Dict[int, List[int]],
+    dirty: Iterable[int],
+    bumps: Callable[[int, List[int], Set[Cell], int], List[MergePattern]],
+    cells: Set[Cell],
+    max_len: int,
+) -> Tuple[Set[Cell], Set[Cell]]:
+    """Re-enumerate the bump candidates of the ``dirty`` lines of one axis
+    in place; return the movers those lines had before and have after."""
+    old_m: Set[Cell] = set()
+    new_m: Set[Cell] = set()
+    for k in dirty:
+        for p in patterns.pop(k, ()):
+            old_m.update(p.movers)
+        positions = lines.get(k)
+        if positions is not None:
+            ps = bumps(k, positions, cells, max_len)
+            if ps:
+                patterns[k] = ps
+                for p in ps:
+                    new_m.update(p.movers)
+    return old_m, new_m
 
 
 class MergeCache:
     """Caches merge-pattern candidates between engine rounds.
 
-    Granularity of invalidation is the **occupied run** — the maximal
-    straight stretch ``_runs_of`` would yield — not the line (see
-    ``docs/incremental.md``):
+    Invalidation is by **line** (see ``docs/incremental.md``):
 
-    * the bump candidate of a horizontal run ``[x0, x1]`` of row ``y``
-      depends only on the run's own cells, the two cells flanking it
-      (``(x0-1, y)``/``(x1+1, y)``, for maximality) and rows ``y±1`` over
-      its span — all of which sit within the 4-neighborhood closure of
-      the run.  A cell flip therefore invalidates only the runs holding
-      an *anchor* (the flipped cell or one of its 4-neighbors), and a
-      round that moves k robots re-derives O(k) runs of length ≤
-      ``max_bump_length`` each, instead of O(dirty lines x line length);
+    * the bump candidates of row ``y`` read only rows ``y - 1`` to
+      ``y + 1`` (the row's runs, their free and support sides), so a flip
+      at ``(x, y)`` dirties rows ``y - 1`` to ``y + 1`` and columns
+      ``x - 1`` to ``x + 1``, and each dirty line is re-enumerated
+      wholesale with the full scan's own :func:`_row_bumps` /
+      :func:`_col_bumps`;
     * the leaf/corner candidate of robot ``c`` depends on occupancy within
       Chebyshev distance 1 of ``c`` *and* on whether ``c`` is a bump mover
       — ``c`` is re-evaluated iff a cell in its 8-neighborhood flipped or
@@ -421,278 +381,104 @@ class MergeCache:
 
     def __init__(self, cfg: AlgorithmConfig) -> None:
         self.cfg = cfg
-        # Bump candidates keyed by line then run start, so a single run's
-        # re-derivation replaces exactly its own entry.
-        self._row_patterns: Dict[int, Dict[int, MergePattern]] = {}
-        self._col_patterns: Dict[int, Dict[int, MergePattern]] = {}
+        self._row_patterns: Dict[int, List[MergePattern]] = {}
+        self._col_patterns: Dict[int, List[MergePattern]] = {}
         self._cell_patterns: Dict[Cell, MergePattern] = {}
-        # Mover cell -> owning bump pattern, per axis (a cell belongs to
-        # exactly one maximal run per axis, so at most one pattern each).
-        # Doubles as the mover *set* (key membership) and as the reverse
-        # index that finds the stale pattern of a dirty anchor in O(1).
-        self._row_movers: Dict[Cell, MergePattern] = {}
-        self._col_movers: Dict[Cell, MergePattern] = {}
+        # Bump movers per axis: the cells barred from leaf/corner
+        # candidacy.
+        self._row_movers: Set[Cell] = set()
+        self._col_movers: Set[Cell] = set()
         self._primed = False
 
     def rebuild(self, state: SwarmState) -> None:
         """Full enumeration; resets the cache."""
         cfg = self.cfg
         cells = state.cells
-        rows, cols = state.rows(), state.cols()
-
-        max_len = cfg.max_bump_length
-        row_patterns: Dict[int, Dict[int, MergePattern]] = {}
-        col_patterns: Dict[int, Dict[int, MergePattern]] = {}
-        row_movers: Dict[Cell, MergePattern] = {}
-        col_movers: Dict[Cell, MergePattern] = {}
+        self._row_patterns = {}
+        self._col_patterns = {}
+        row_movers: Set[Cell] = set()
+        col_movers: Set[Cell] = set()
         if cfg.enable_bump_merges:
-            for y, xs in rows.items():
-                ps = _row_bumps(y, xs, cells, max_len)
-                if ps:
-                    row_patterns[y] = {p.movers[0][0]: p for p in ps}
-                    for p in ps:
-                        for m in p.movers:
-                            row_movers[m] = p
-            for x, ys in cols.items():
-                ps = _col_bumps(x, ys, cells, max_len)
-                if ps:
-                    col_patterns[x] = {p.movers[0][1]: p for p in ps}
-                    for p in ps:
-                        for m in p.movers:
-                            col_movers[m] = p
-        self._row_patterns = row_patterns
-        self._col_patterns = col_patterns
+            rows, cols = state.rows(), state.cols()
+            _, row_movers = _refresh_lines(
+                self._row_patterns,
+                rows,
+                rows,
+                _row_bumps,
+                cells,
+                cfg.max_bump_length,
+            )
+            _, col_movers = _refresh_lines(
+                self._col_patterns,
+                cols,
+                cols,
+                _col_bumps,
+                cells,
+                cfg.max_bump_length,
+            )
         self._row_movers = row_movers
         self._col_movers = col_movers
         self._cell_patterns = {}
         for c in cells:
             if c in row_movers or c in col_movers:
                 continue
-            p = _leaf_corner_for(cells, c, self.cfg)
+            p = _leaf_corner_for(cells, c, cfg)
             if p is not None:
                 self._cell_patterns[c] = p
         self._primed = True
 
-    def _dirty_runs(
-        self, cells: Set[Cell], changed: Set[Cell], max_len: int
-    ) -> Tuple[
-        List[MergePattern],
-        List[MergePattern],
-        List[MergePattern],
-        List[MergePattern],
-    ]:
-        """Run-granular invalidation: ``(dead_row, dead_col, new_row,
-        new_col)`` from the anchors of the changed cells.
+    def update(self, state: SwarmState, changed: AbstractSet[Cell]) -> None:
+        """Re-derive the candidates of the dirty lines and neighborhoods.
 
-        A flip at ``c`` can change (a) the run structure of ``c``'s own
-        row/column at the cells adjacent to ``c``, and (b) the free-side
-        status of the perpendicular-adjacent runs spanning ``c``'s
-        coordinate — and nothing else.  Both kinds of affected run
-        contain an *anchor*: ``c`` itself or one of its 4-neighbors.  So
-        stale patterns are exactly those owning an anchor (found via the
-        mover index), and fresh candidates are derived from the maximal
-        runs through the occupied anchors (capped walks, O(max_len)).
-        """
-        row_movers, col_movers = self._row_movers, self._col_movers
-        anchors: Set[Cell] = set()
-        for x, y in changed:
-            anchors.add((x, y))
-            anchors.add((x + 1, y))
-            anchors.add((x - 1, y))
-            anchors.add((x, y + 1))
-            anchors.add((x, y - 1))
-
-        # Stale patterns: every cached bump holding an anchor.
-        dead_row: List[MergePattern] = []
-        dead_col: List[MergePattern] = []
-        seen_ids: Set[int] = set()
-        for a in sorted(anchors):
-            p = row_movers.get(a)
-            if p is not None and id(p) not in seen_ids:
-                seen_ids.add(id(p))
-                dead_row.append(p)
-            p = col_movers.get(a)
-            if p is not None and id(p) not in seen_ids:
-                seen_ids.add(id(p))
-                dead_col.append(p)
-
-        # Fresh candidates: the maximal runs through occupied anchors
-        # (deduped by run identity), evaluated on the new occupancy.
-        new_row: List[MergePattern] = []
-        new_col: List[MergePattern] = []
-        seen_runs: Set[Tuple[int, int, int]] = set()
-        for a in sorted(anchors):
-            if a not in cells:
-                continue
-            ax, ay = a
-            # Quick reject before the capped run walks: a run's bump
-            # needs one flanking line completely free, so it is free
-            # at the anchor's own coordinate in particular.  This
-            # skips solid-interior anchors (dense blobs) at two
-            # lookups instead of a 2*max_len walk.
-            if (ax, ay + 1) not in cells or (ax, ay - 1) not in cells:
-                h = _h_run_of(cells, a, max_len)
-                if h is not None:
-                    key = (0, ay, h[0])
-                    if key not in seen_runs:
-                        seen_runs.add(key)
-                        p = _h_run_pattern(ay, h[0], h[1], cells)
-                        if p is not None:
-                            new_row.append(p)
-            if (ax + 1, ay) not in cells or (ax - 1, ay) not in cells:
-                v = _v_run_of(cells, a, max_len)
-                if v is not None:
-                    key = (1, ax, v[0])
-                    if key not in seen_runs:
-                        seen_runs.add(key)
-                        p = _v_run_pattern(ax, v[0], v[1], cells)
-                        if p is not None:
-                            new_col.append(p)
-        return dead_row, dead_col, new_row, new_col
-
-    def _dirty_lines(
-        self,
-        state: SwarmState,
-        cells: Set[Cell],
-        dirty_rows: Set[int],
-        dirty_cols: Set[int],
-        max_len: int,
-    ) -> Tuple[
-        List[MergePattern],
-        List[MergePattern],
-        List[MergePattern],
-        List[MergePattern],
-    ]:
-        """Line-granular invalidation (the churn-regime strategy): every
-        dirty line is re-enumerated wholesale.  Produces the same
-        ``(dead, new)`` lists as :meth:`_dirty_runs` modulo entries that
-        cancel (a pattern removed and re-derived identically), which the
-        shared bookkeeping in :meth:`update` treats identically."""
-        rows, cols = state.rows(), state.cols()
-        dead_row: List[MergePattern] = []
-        dead_col: List[MergePattern] = []
-        new_row: List[MergePattern] = []
-        new_col: List[MergePattern] = []
-        for y in sorted(dirty_rows):
-            old = self._row_patterns.get(y)
-            if old is None and y not in rows:
-                continue  # empty line stayed empty: no-op
-            ps = _row_bumps(y, rows[y], cells, max_len) if y in rows else None
-            if old:
-                dead_row.extend(old.values())
-            if ps:
-                new_row.extend(ps)
-        for x in sorted(dirty_cols):
-            old = self._col_patterns.get(x)
-            if old is None and x not in cols:
-                continue
-            ps = _col_bumps(x, cols[x], cells, max_len) if x in cols else None
-            if old:
-                dead_col.extend(old.values())
-            if ps:
-                new_col.extend(ps)
-        return dead_row, dead_col, new_row, new_col
-
-    def update(self, state: SwarmState, changed: Iterable[Cell]) -> None:
-        """Re-derive only the dirty runs and neighborhoods.
-
-        Strategy choice per round: run-granular invalidation costs
-        O(changed anchors), line-granular costs O(dirty-line occupancy);
-        sparse steady-state rounds take the run path (a round that moves
-        k robots re-derives O(k) runs of length <= max_bump_length), and
-        churn-heavy rounds — where many changed cells share few lines
-        and the tight line scans amortize better — take the line path.
-        Both produce the exact same cached pattern sets.
+        ``changed`` holds the cells whose occupancy flipped
+        (``state.last_changed``).  Each dirty line is re-enumerated
+        wholesale, so the bump work is O(occupancy of the dirty lines):
+        it grows with swarm width, not with the number of moved robots.
+        Leaf/corner candidates are re-evaluated on the changed
+        8-neighborhoods and on the cells whose bump-mover status flipped.
         """
         if not self._primed:
             self.rebuild(state)
             return
-        changed = set(changed)
         if not changed:
             return
         cfg = self.cfg
         cells = state.cells
-
         row_movers, col_movers = self._row_movers, self._col_movers
+
+        leaf_dirty: Set[Cell] = set()
         if cfg.enable_bump_merges:
             max_len = cfg.max_bump_length
-            rows, cols = state.rows(), state.cols()
-            # Cost estimate: the run path touches ~5 anchors x 2 axes
-            # per changed cell; the line path walks every occupied cell
-            # of every dirty line.  The constant favors the line path
-            # only under heavy churn (dense dirty bands).
-            dirty_rows = {y + dy for _, y in changed for dy in (-1, 0, 1)}
-            dirty_cols = {x + dx for x, _ in changed for dx in (-1, 0, 1)}
-            run_est = _RUN_COST_FACTOR * len(changed)
-            line_est = 0
-            for y in dirty_rows:
-                xs = rows.get(y)
-                if xs is not None:
-                    line_est += len(xs)
-            for x in dirty_cols:
-                ys = cols.get(x)
-                if ys is not None:
-                    line_est += len(ys)
-            if run_est <= line_est:
-                dead_row, dead_col, new_row, new_col = self._dirty_runs(
-                    cells, changed, max_len
-                )
-            else:
-                dead_row, dead_col, new_row, new_col = self._dirty_lines(
-                    state, cells, dirty_rows, dirty_cols, max_len
-                )
-
-            # Mover-status bookkeeping, snapshotted before any mutation.
-            old_row_m = {m for p in dead_row for m in p.movers}
-            new_row_m = {m for p in new_row for m in p.movers}
-            old_col_m = {m for p in dead_col for m in p.movers}
-            new_col_m = {m for p in new_col for m in p.movers}
+            old_row_m, new_row_m = _refresh_lines(
+                self._row_patterns,
+                state.rows(),
+                sorted({y + d for _, y in changed for d in (-1, 0, 1)}),
+                _row_bumps,
+                cells,
+                max_len,
+            )
+            old_col_m, new_col_m = _refresh_lines(
+                self._col_patterns,
+                state.cols(),
+                sorted({x + d for x, _ in changed for d in (-1, 0, 1)}),
+                _col_bumps,
+                cells,
+                max_len,
+            )
+            # Mover status, snapshotted over the touched cells only
+            # before either mover set mutates.
             touched = (old_row_m ^ new_row_m) | (old_col_m ^ new_col_m)
             was_mover = {
-                c: c in row_movers or c in col_movers for c in touched
+                c for c in touched if c in row_movers or c in col_movers
             }
+            row_movers -= old_row_m
+            row_movers |= new_row_m
+            col_movers -= old_col_m
+            col_movers |= new_col_m
+            for c in touched:
+                if (c in row_movers or c in col_movers) != (c in was_mover):
+                    leaf_dirty.add(c)
 
-            row_patterns, col_patterns = (
-                self._row_patterns,
-                self._col_patterns,
-            )
-            for p in dead_row:
-                x0, y = p.movers[0]
-                line = row_patterns.get(y)
-                if line is not None:
-                    line.pop(x0, None)
-                    if not line:
-                        del row_patterns[y]
-                for m in p.movers:
-                    row_movers.pop(m, None)
-            for p in dead_col:
-                x, y0 = p.movers[0]
-                line = col_patterns.get(x)
-                if line is not None:
-                    line.pop(y0, None)
-                    if not line:
-                        del col_patterns[x]
-                for m in p.movers:
-                    col_movers.pop(m, None)
-            for p in new_row:
-                x0, y = p.movers[0]
-                row_patterns.setdefault(y, {})[x0] = p
-                for m in p.movers:
-                    row_movers[m] = p
-            for p in new_col:
-                x, y0 = p.movers[0]
-                col_patterns.setdefault(x, {})[y0] = p
-                for m in p.movers:
-                    col_movers[m] = p
-            mover_delta = {
-                c
-                for c in touched
-                if (c in row_movers or c in col_movers) != was_mover[c]
-            }
-        else:
-            mover_delta = set()
-
-        leaf_dirty: Set[Cell] = set(mover_delta)
         for cx, cy in changed:
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
@@ -714,10 +500,10 @@ class MergeCache:
     def candidates(self) -> List[MergePattern]:
         """The full candidate list (bumps first, then leaf/corner)."""
         out: List[MergePattern] = []
-        for line in self._row_patterns.values():
-            out.extend(line.values())
-        for line in self._col_patterns.values():
-            out.extend(line.values())
+        for ps in self._row_patterns.values():
+            out.extend(ps)
+        for ps in self._col_patterns.values():
+            out.extend(ps)
         out.extend(self._cell_patterns.values())
         return out
 

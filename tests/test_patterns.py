@@ -235,79 +235,106 @@ class TestLocalDecision:
             merge_move_for(view, robot, CFG)  # must not raise LocalityError
 
 
+def candidate_set(cache):
+    return {
+        (p.kind, p.movers, p.direction, p.frozen) for p in cache.candidates()
+    }
+
+
+def fresh_set(state, cfg=CFG):
+    from repro.core.patterns import MergeCache
+
+    fresh = MergeCache(cfg)
+    fresh.rebuild(state)
+    return candidate_set(fresh)
+
+
+# Gather inputs by the run structure of their lines: the one-robot-wide
+# shapes' lines are many short runs, so a dirty line re-derives runs
+# that no move touched; the filled shapes' lines are few long runs, so
+# a move splits or trims a long run.
+TRAJECTORY_INPUTS = {
+    "line": (("ring", 60), ("spiral", 120)),
+    "run": (("blob", 150), ("solid", 400)),
+}
+over_inputs = pytest.mark.parametrize(
+    "inputs", list(TRAJECTORY_INPUTS.values()), ids=list(TRAJECTORY_INPUTS)
+)
+
+
 class TestMergeCacheRunGranular:
-    """Run-granular invalidation of :class:`MergeCache` (and its
-    line-granular churn twin): after any move sequence, the cached
-    candidate set must equal a fresh full enumeration, under either
-    strategy."""
+    """:class:`MergeCache` along gather trajectories: every round, the
+    cached candidate set must equal a fresh full enumeration."""
 
-    @staticmethod
-    def candidate_set(cache):
-        return {
-            (p.kind, p.movers, p.direction, p.frozen)
-            for p in cache.candidates()
-        }
-
-    @staticmethod
-    def fresh_set(state, cfg=CFG):
-        from repro.core.patterns import MergeCache
-
-        fresh = MergeCache(cfg)
-        fresh.rebuild(state)
-        return TestMergeCacheRunGranular.candidate_set(fresh)
-
-    def drive(self, cells, steps, factor, monkeypatch):
-        """Run the gathering controller while forcing one strategy and
-        checking the cache against a full rebuild every round."""
-        import repro.core.patterns as P
+    def drive(self, cells, steps, schedule=None):
+        """Run the gathering controller (FSYNC, or under ``schedule``)
+        and check the cache against a full rebuild every round."""
         from repro.core.algorithm import GatherOnGrid
         from repro.engine.scheduler import RoundEngine
 
-        monkeypatch.setattr(P, "_RUN_COST_FACTOR", factor)
         ctrl = GatherOnGrid(CFG)
         eng = RoundEngine(
-            SwarmState(set(cells)), ctrl, check_connectivity=False
+            SwarmState(set(cells)), ctrl, schedule, check_connectivity=False
         )
+        pipeline = ctrl._pipeline
         for _ in range(steps):
             if eng.state.is_gathered():
                 break
             eng.step()
             # the cache lags one apply_moves until the next plan; sync
-            # it to the post-move state before comparing
-            ctrl._pipeline._sync(eng.state)
-            cache = ctrl._pipeline.merge_cache
-            assert self.candidate_set(cache) == self.fresh_set(eng.state)
+            # it to the post-move state (the delta path, not a rebuild)
+            # before comparing
+            assert pipeline._version == eng.state.version - 1
+            pipeline._sync(eng.state)
+            cache = pipeline.merge_cache
+            assert candidate_set(cache) == fresh_set(eng.state)
 
-    @pytest.mark.parametrize("factor", [0, 10**9], ids=["run", "line"])
-    def test_trajectory_differential(self, factor, monkeypatch):
+    @over_inputs
+    def test_trajectory_differential(self, inputs):
         from repro.swarms.generators import family
 
-        for fam, n in (("blob", 150), ("ring", 60), ("spiral", 120)):
-            self.drive(family(fam, n), 80, factor, monkeypatch)
+        for fam, n in inputs:
+            self.drive(family(fam, n), 80)
 
-    def _updated(self, before, moves, factor=0):
-        """Apply ``moves`` to ``before`` through the cache (forcing the
-        run-granular path by default) and return (cache, state)."""
-        import repro.core.patterns as P
+    @over_inputs
+    def test_trajectory_differential_partial_activation(self, inputs):
+        """SSYNC rounds apply only a subset of the planned moves, so the
+        change sets differ from any FSYNC round's."""
+        from repro.engine.ssync_scheduler import (
+            ActivationSchedule,
+            make_policy,
+        )
+        from repro.swarms.generators import family
+
+        for fam, n in inputs:
+            schedule = ActivationSchedule(
+                make_policy("uniform", p=0.5, seed=1), 8
+            )
+            self.drive(family(fam, n), 80, schedule)
+
+
+class TestMergeCacheMatchesRebuild:
+    """Line invalidation of :class:`MergeCache` on single hand-built
+    moves: the cached candidate set must equal a fresh full
+    enumeration."""
+
+    def _updated(self, before, moves):
+        """Apply ``moves`` to ``before`` through the cache and return
+        (cache, state)."""
         from repro.core.patterns import MergeCache
 
-        saved = P._RUN_COST_FACTOR
-        P._RUN_COST_FACTOR = factor
-        try:
-            state = SwarmState(set(before))
-            cache = MergeCache(CFG)
-            cache.rebuild(state)
-            state.apply_moves(moves)
-            cache.update(state, state.last_changed)
-        finally:
-            P._RUN_COST_FACTOR = saved
+        state = SwarmState(set(before))
+        cache = MergeCache(CFG)
+        cache.rebuild(state)
+        state.apply_moves(moves)
+        cache.update(state, state.last_changed)
         return cache, state
 
     def test_run_split_across_dirty_cell(self):
         """Vacating mid-run splits one cached run into two."""
         row = [(x, 0) for x in range(7)] + [(x, -1) for x in range(7)]
         cache, state = self._updated(row, {(3, 0): (3, -1)})
-        assert self.candidate_set(cache) == self.fresh_set(state)
+        assert candidate_set(cache) == fresh_set(state)
 
     def test_run_merge_across_dirty_cell(self):
         """Filling the gap between two cached runs merges them."""
@@ -315,7 +342,7 @@ class TestMergeCacheRunGranular:
         cells += [(x, -1) for x in range(7)]
         cells += [(3, 2), (3, 1)]  # a robot that can drop into the gap
         cache, state = self._updated(cells, {(3, 1): (3, 0)})
-        assert self.candidate_set(cache) == self.fresh_set(state)
+        assert candidate_set(cache) == fresh_set(state)
 
     def test_free_side_flip_from_adjacent_row(self):
         """A change in row y+1 re-evaluates the run of row y whose span
@@ -325,7 +352,7 @@ class TestMergeCacheRunGranular:
         # the hovering robot lands on (0, 1): row 0's north side is no
         # longer free, so its bump pattern must flip or vanish
         cache, state = self._updated(cells, {(0, 2): (0, 1)})
-        assert self.candidate_set(cache) == self.fresh_set(state)
+        assert candidate_set(cache) == fresh_set(state)
 
     def test_mover_status_cascade_releases_leaf(self):
         """When a bump dissolves, its former movers become eligible for
@@ -334,7 +361,7 @@ class TestMergeCacheRunGranular:
         # neighbour changes bump membership and leaf eligibility nearby
         cells = [(0, 0), (1, 0), (0, -1), (2, -1), (2, 0), (3, 0)]
         cache, state = self._updated(cells, {(3, 0): (2, -1)})
-        assert self.candidate_set(cache) == self.fresh_set(state)
+        assert candidate_set(cache) == fresh_set(state)
 
     def test_rebuild_resets_after_external_jump(self):
         """A version jump (two applies without update) falls back to a
@@ -345,4 +372,4 @@ class TestMergeCacheRunGranular:
         state = SwarmState({(0, 0), (1, 0), (2, 0), (1, 1)})
         cache = MergeCache(CFG)
         cache.update(state, set())  # unprimed update primes via rebuild
-        assert self.candidate_set(cache) == self.fresh_set(state)
+        assert candidate_set(cache) == fresh_set(state)

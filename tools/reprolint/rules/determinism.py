@@ -58,7 +58,8 @@ class UnseededRandomRule(FileRule):
     <fn>`` of anything but ``Random``, module-level RNG singletons, and
     any touch of the global :data:`numpy.random` state.  Shared global
     RNG state makes trajectories depend on *call order across
-    subsystems* — exactly what the run-granular caches reorder.
+    subsystems*, and the incremental caches emit candidates in a
+    different order from the full scan.
     """
 
     rule_id = "D1"
