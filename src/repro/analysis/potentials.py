@@ -11,6 +11,11 @@ DESIGN.md Section 3 argues termination via two monotone quantities:
 ``is_monotone_nonincreasing`` is the assertion the integration tests make.
 A violation would mean some operation can undo progress — the precursor of
 a livelock.
+
+The outer enclosed area is recorded too, but it is no potential: a fold
+can move a robot diagonally outward without changing the perimeter
+(``ring(33)`` gains 1 cell of area at indices 188, 190 and 191), and on
+``spiral_1027`` the area jumps by 1,748 when the arms close.
 """
 
 from __future__ import annotations

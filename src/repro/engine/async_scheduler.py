@@ -95,11 +95,11 @@ class AsyncEngine:
         self.rng = random.Random(seed)
         self.check_connectivity = check_connectivity
         #: Allow the per-activation ``locally_connected_after`` certificate
-        #: (a single-robot move is its easiest case: one vacated cell, one
-        #: added cell).  Off forces the full O(n) BFS after every
-        #: activation, the seed behavior; observable results are
-        #: identical either way — the certificate is sound, and on
-        #: inconclusive windows the engine falls back to the full BFS.
+        #: (a single-robot move is its easiest case: one vacated cell, at
+        #: most one added cell, one table lookup).  Off forces the full
+        #: O(n) BFS after every activation, the seed behavior; observable
+        #: results are identical either way — the certificate is sound,
+        #: and when it is inconclusive the engine falls back to the BFS.
         self.incremental_connectivity = incremental_connectivity
         self.on_round = on_round
         self.metrics = MetricsLog()

@@ -217,15 +217,18 @@ class RoundEngine:
         fault streams.
     check_connectivity:
         Verify 4-connectivity after every round.  On by default because
-        it is the paper's safety property.  The check is localized to the
-        round's dirty region (``state.last_changed``) and falls back to
-        the full O(n) BFS only when the local window cannot prove
-        connectivity — e.g. when a vacated cell is a potential cut vertex
-        whose sides reconnect, if at all, far away.
+        it is the paper's safety property.  The check certifies the
+        round's changed cells (``state.last_changed``) by simple-point
+        deletion in O(changed) (:func:`~repro.grid.connectivity.
+        locally_connected_after`) and runs the full O(n) BFS only when
+        that certificate is inconclusive — e.g. when vacated cells cut
+        the swarm locally and its sides reconnect, if at all, only
+        beyond each cell's 3x3 window.
     incremental_connectivity:
-        Allow the localized check above.  Off forces the seed's full BFS
+        Allow the certificate above.  Off forces the seed's full BFS
         every round (used by the equivalence tests; the observable
-        behavior is identical either way).
+        behavior is identical either way, because the certificate only
+        decides whether the BFS runs).
     track_boundary:
         Also record outer-boundary length and enclosed area per round
         (costs one boundary trace per round; used by figures/ablations).
@@ -566,10 +569,12 @@ class RoundEngine:
         if self.check_connectivity:
             # The engine applied exactly one apply_moves since the last
             # check, so state.last_changed is the round's dirty region and
-            # the localized proof applies; anything it cannot prove gets
-            # the full BFS (bit-identical outcome, just slower).
+            # the certificate applies while the pre-move state was
+            # connected, i.e. until the first break; anything it cannot
+            # prove gets the full BFS (bit-identical outcome, just slower).
             if not (
                 self.incremental_connectivity
+                and not self.connectivity_lost
                 and locally_connected_after(state.cells, state.last_changed)
             ):
                 comps = connected_components(state.cells)

@@ -2,16 +2,19 @@
 
 The paper's swarms are connected in the 4-neighborhood sense and every
 operation must preserve that (it is "the only globally checkable" property,
-Section 1).  The engine uses :func:`is_connected` as a per-round invariant
-check; :func:`articulation_cells` supports tests and the safety analysis of
-merge patterns.
+Section 1).  The engines check it after every round:
+:func:`locally_connected_after` certifies a round from its changed cells
+in O(changed), and only when that certificate is inconclusive do they run
+the full O(n) BFS of :func:`connected_components`.  :func:`is_connected`
+is the plain BFS yes/no for any cell set; :func:`articulation_cells`
+supports tests and the safety analysis of merge patterns.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
-from repro.grid.geometry import Cell, neighbors4
+from repro.grid.geometry import DIRECTIONS8, Cell, neighbors4
 
 
 def connected_components(cells: Iterable[Cell]) -> List[Set[Cell]]:
@@ -34,76 +37,97 @@ def connected_components(cells: Iterable[Cell]) -> List[Set[Cell]]:
     return components
 
 
-def locally_connected_after(
-    cells: Set[Cell], changed: Iterable[Cell], window: int = 2
-) -> bool:
-    """Sound local re-check of connectivity after a bounded change.
+def _leaves_neighbors_connected(mask: int) -> bool:
+    """Whether a cell can leave without disconnecting anything, given its
+    8-neighborhood occupancy (bit ``i`` of ``mask`` marks
+    ``DIRECTIONS8[i]``): true when its occupied 4-neighbors lie in one
+    4-component of the 8-neighborhood, so every path through the cell
+    has a detour inside its 3x3 window."""
+    near = [DIRECTIONS8[i] for i in range(8) if mask >> i & 1]
+    touching = [
+        comp
+        for comp in connected_components(near)
+        if any(dx == 0 or dy == 0 for dx, dy in comp)
+    ]
+    return len(touching) <= 1
 
-    ``cells`` is the post-move occupancy, ``changed`` the cells whose
-    occupancy flipped.  Returns True only when connectivity is *proven*
-    by independent local certificates; False means "inconclusive — run
-    the full BFS", never "disconnected".
 
-    Certificates, one per 4-connected *group* of changed cells (so
-    unrelated changes on opposite sides of the swarm never need a joint
-    path):
+#: ``_DELETABLE[mask]`` is :func:`_leaves_neighbors_connected` (mask).
+_DELETABLE = tuple(_leaves_neighbors_connected(m) for m in range(256))
 
-    * every group of *vacated* cells with two or more surviving
-      4-neighbors must have those survivors reconnect to each other
-      within the group's bounding box grown by ``window`` — then any
-      pre-move path entering and leaving the group has a local detour
-      (a maximal vacated run along a 4-path is 4-connected, hence inside
-      one group);
-    * every group of *newly occupied* cells must touch a surviving cell
-      — then the new cells hang off the (still connected) survivors.
 
-    A vacated group acting as a cut set — its sides reconnect, if at
-    all, only far away — fails its certificate and triggers the full-BFS
-    fallback in the caller.
+def locally_connected_after(cells: Set[Cell], changed: Iterable[Cell]) -> bool:
+    """Sound O(changed) re-check of connectivity after one round's moves.
+
+    ``cells`` is the post-move occupancy and ``changed`` the cells whose
+    occupancy flipped; the pre-move occupancy ``cells - added + vacated``
+    must be 4-connected.  Returns True only when connectivity is
+    *proven*; False means "inconclusive — run the full BFS", never
+    "disconnected".
+
+    The proof replays the round from the pre-move occupancy in steps that
+    each keep it connected.  Every added cell attaches through a
+    4-neighbor that is pre-move occupied or already attached.  Then the
+    vacated cells leave one at a time in sorted order, each only when its
+    occupied 4-neighbors stay connected inside its 3x3 window without it
+    (a ``_DELETABLE`` lookup over ``cells`` plus the vacated cells still
+    present).  A cell that fails is parked and re-tested whenever a
+    vacated 8-neighbor leaves, so none is tested more than nine times.
+    A cell still parked at the end, or an added cell that cannot attach,
+    makes the answer inconclusive.  docs/incremental.md gives the
+    soundness argument.
     """
-    changed = set(changed)
-    if not changed:
-        return True  # nothing moved: connectivity is unchanged
-    added = {ch for ch in changed if ch in cells}
-    vacated = changed - added
+    added: Set[Cell] = set()
+    pending: Set[Cell] = set()  # vacated cells not yet deleted
+    for c in changed:
+        (added if c in cells else pending).add(c)
 
-    for group in connected_components(added):
-        if not any(
-            nb in cells and nb not in added
-            for c in group
-            for nb in neighbors4(c)
-        ):
-            return False  # new cells not attached to any survivor
-    for group in connected_components(vacated):
-        survivors = {
-            nb for c in group for nb in neighbors4(c) if nb in cells
-        }
-        if len(survivors) <= 1:
-            continue  # no path can cross the group between two survivors
-        xs = [c[0] for c in group]
-        ys = [c[1] for c in group]
-        x_lo, x_hi = min(xs) - window, max(xs) + window
-        y_lo, y_hi = min(ys) - window, max(ys) + window
-        start = next(iter(survivors))
-        seen = {start}
-        frontier = [start]
-        missing = len(survivors) - 1
-        while frontier and missing:
-            x, y = frontier.pop()
-            for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-                if (
-                    nb not in seen
-                    and nb in cells
-                    and x_lo <= nb[0] <= x_hi
-                    and y_lo <= nb[1] <= y_hi
-                ):
-                    seen.add(nb)
-                    frontier.append(nb)
-                    if nb in survivors:
-                        missing -= 1
-        if missing:
-            return False  # potential cut: needs the full BFS
-    return True
+    attached: Set[Cell] = set()
+    for a in added:
+        x, y = a
+        for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
+            if nb in pending or (nb in cells and nb not in added):
+                attached.add(a)
+                break
+    if len(attached) < len(added):
+        frontier = set(attached)
+        while frontier:
+            for nb in neighbors4(frontier.pop()):
+                if nb in added and nb not in attached:
+                    attached.add(nb)
+                    frontier.add(nb)
+        if len(attached) < len(added):
+            return False  # new cells not attached to the pre-move swarm
+
+    parked: Set[Cell] = set()
+    for start in sorted(pending):
+        work = [start]
+        while work:
+            c = work.pop()
+            x, y = c
+            l, r, d, u = x - 1, x + 1, y - 1, y + 1
+            # Bits in DIRECTIONS8 order, unrolled: this is the hot loop.
+            mask = (
+                ((n := (r, y)) in cells or n in pending)
+                | ((n := (x, u)) in cells or n in pending) << 1
+                | ((n := (l, y)) in cells or n in pending) << 2
+                | ((n := (x, d)) in cells or n in pending) << 3
+                | ((n := (r, u)) in cells or n in pending) << 4
+                | ((n := (l, u)) in cells or n in pending) << 5
+                | ((n := (l, d)) in cells or n in pending) << 6
+                | ((n := (r, d)) in cells or n in pending) << 7
+            )
+            if not _DELETABLE[mask]:
+                parked.add(c)
+                continue
+            pending.discard(c)
+            if parked:
+                for dx, dy in DIRECTIONS8:
+                    nb = (x + dx, y + dy)
+                    if nb in parked:
+                        parked.discard(nb)
+                        work.append(nb)
+    return not parked
 
 
 def is_connected(cells: Iterable[Cell]) -> bool:

@@ -23,16 +23,32 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
 
 import pytest
 
+import repro.api
+import repro.engine.scheduler
+from repro.api import simulate
 from repro.core.config import AlgorithmConfig
+from repro.engine.scheduler import RoundEngine
+from repro.engine.ssync_scheduler import ActivationSchedule, make_policy
+from repro.grid.connectivity import is_connected, locally_connected_after
+from repro.grid.occupancy import SwarmState
+from repro.swarms.generators import ring
 from repro.trace.recorder import load_trace
 
-from tools.make_goldens import SCENARIOS, _state_digest, run_scenario
+from tools.make_goldens import (
+    SCENARIOS,
+    SCHEDULE_FAMILIES,
+    SCHEDULE_MAX_ROUNDS,
+    SCHEDULE_MODELS,
+    _state_digest,
+    run_scenario,
+)
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_trajectories.json"
@@ -106,25 +122,92 @@ def test_incremental_matches_full_and_seed(name, golden):
             )
 
 
-def test_full_connectivity_mode_identical():
+def test_full_connectivity_mode_identical(monkeypatch):
     """The localized connectivity check never changes behavior: force the
-    full BFS via the engine knob and compare a hole-bearing scenario."""
-    from repro.core.algorithm import GatherOnGrid
-    from repro.engine.scheduler import RoundEngine
-    from repro.grid.occupancy import SwarmState
-    from repro.swarms.generators import ring
+    full BFS via the engine knob and compare states, terminal and
+    component count.  FSYNC ``ring(10)`` has a hole and never
+    disconnects; the setting of golden row ``grid/ssync_p05/blob_30/conn``
+    ends ``connectivity_lost`` after 8 rounds."""
+
+    def run(incremental_connectivity, cells, **options):
+        monkeypatch.setattr(repro.api, "RoundEngine", functools.partial(
+            RoundEngine, incremental_connectivity=incremental_connectivity
+        ))
+        states = []
+        result = simulate(
+            cells,
+            strategy="grid",
+            on_round=lambda i, s: states.append(s.frozen()),
+            **options,
+        )
+        components = [
+            e.data["components"]
+            for e in result.events.of_kind("connectivity_violation")
+        ]
+        return states, list(result.events)[-1].kind, components
+
+    fsync = run(True, ring(10), max_rounds=300)
+    assert fsync[1:] == ("gathered", [])
+    assert run(False, ring(10), max_rounds=300) == fsync
+
+    ssync = dict(
+        seed=3, max_rounds=SCHEDULE_MAX_ROUNDS, **SCHEDULE_MODELS["ssync_p05"]
+    )
+    lost = run(True, SCHEDULE_FAMILIES["blob_30"], **ssync)
+    assert len(lost[0]) == 8 and lost[1] == "connectivity_lost"
+    assert len(lost[2]) == 1 and lost[2][0] > 1
+    assert run(False, SCHEDULE_FAMILIES["blob_30"], **ssync) == lost
+
+
+def test_inconclusive_certificate_falls_back_to_bfs(monkeypatch):
+    """A round that empties the whole top row of a closed loop leaves a U:
+    still connected, but the arms meet only at the bottom, beyond every
+    vacated cell's 3x3 window.  The certificate is inconclusive, and the
+    one full BFS it triggers lets the round complete."""
+    loop = {
+        (x, y) for x in range(3) for y in range(4) if x != 1 or y in (0, 3)
+    }
+    top_row_down = {(0, 3): (0, 2), (1, 3): (0, 2), (2, 3): (2, 2)}
+
+    class OneMove:
+        def plan_round(self, state, round_index):
+            return top_row_down if round_index == 0 else {}
+
+    bfs_calls = []
+    real_bfs = repro.engine.scheduler.connected_components
+    monkeypatch.setattr(
+        repro.engine.scheduler, "connected_components",
+        lambda cells: bfs_calls.append(1) or real_bfs(cells),
+    )
+    engine = RoundEngine(SwarmState(loop), OneMove())
+    assert engine.step() == 3
+    state = engine.state
+    assert state.cells == loop - set(top_row_down)
+    assert not locally_connected_after(state.cells, state.last_changed)
+    assert is_connected(state.cells) and bfs_calls == [1]
+
+
+def test_step_past_connectivity_lost_matches_full_bfs():
+    """The certificate is sound only from a connected pre-move state.
+    A scheduled engine stepped past its first break must still report
+    the split every round, exactly as the full-BFS engine does."""
+
+    class Split:
+        def plan_round(self, state, round_index):
+            return {(1, 0): (1, 1)} if round_index == 0 else {}
 
     def run(incremental_connectivity):
-        ctrl = GatherOnGrid()
-        eng = RoundEngine(
-            SwarmState(ring(10)),
-            ctrl,
+        engine = RoundEngine(
+            SwarmState([(0, 0), (1, 0), (2, 0)]),
+            Split(),
+            ActivationSchedule(make_policy("uniform", p=1.0), 8),
             incremental_connectivity=incremental_connectivity,
         )
-        states = []
-        while not eng.state.is_gathered() and eng.round_index < 300:
-            eng.step()
-            states.append(eng.state.frozen())
-        return states
+        engine.step()
+        engine.step()
+        return [
+            (e.round_index, e.data["components"])
+            for e in engine.events.of_kind("connectivity_violation")
+        ]
 
-    assert run(True) == run(False)
+    assert run(True) == run(False) == [(0, 3), (1, 3)]

@@ -48,13 +48,23 @@ def test_robot_count_and_perimeter_monotone(cells):
     "cells", [ring(16), solid_rectangle(8, 8)], ids=["ring", "solid"]
 )
 def test_enclosed_area_monotone(cells):
-    """Folds move boundary robots inward: the outer enclosed area never
-    grows (the reshapement progress measure of DESIGN.md Section 3)."""
+    """On these two inputs the outer enclosed area never grows.  It is
+    no potential in general (next test); the outer perimeter is."""
     trace = track_potentials(cells)
     assert trace.gathered
     assert is_monotone_nonincreasing(trace.area), (
         f"area rose at round {first_violation(trace.area)}"
     )
+
+
+def test_enclosed_area_rises_on_ring_128():
+    """A fold can move a robot diagonally outward: on ring(33) (128
+    robots) the area series rises by 1 at indices 188, 190 and 191 while
+    the perimeter stays put, and the perimeter never rises."""
+    trace = track_potentials(ring(33))
+    assert trace.gathered
+    assert first_violation(trace.area) == 188
+    assert is_monotone_nonincreasing(trace.perimeter)
 
 
 def test_trace_lengths_consistent():
