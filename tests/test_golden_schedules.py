@@ -1,13 +1,16 @@
-"""Golden trajectories of the non-FSYNC time models.
+"""Golden trajectories of the non-FSYNC time models and of the
+self-clocked baselines.
 
 ``tests/data/golden_schedules.json`` (written by ``python
 tools/make_goldens.py schedules``) pins, for every activation policy,
 the fault layer, byzantine robots and async-lcm with and without
 staleness, the per-round state and event hashes of small capped runs
 under the grid, tolerant and async-greedy strategies, with the
-connectivity check on and off.  The determinism tests elsewhere only
-compare a run with itself; these rows catch a change that reorders one
-activation, fault or staleness draw.
+connectivity check on and off.  It also pins the Euclidean, chain and
+closed-chain baselines under fsync and every model that accepts them
+(Euclidean coordinates hashed rounded to 6 decimals).  The determinism
+tests elsewhere only compare a run with itself; these rows catch a
+change that reorders one activation, fault or staleness draw.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from repro.trace.recorder import load_trace
 
 from tools.make_goldens import (
     SCHEDULE_SCENARIOS,
-    _state_digest,
     run_schedule_scenario,
+    schedule_digest,
 )
 
 GOLDEN_PATH = os.path.join(
@@ -49,8 +52,9 @@ def test_schedule_matches_golden(name, golden):
     for key in ("rounds", "gathered", "terminal", "activations",
                 "byzantine_actions", "state_hashes"):
         assert got[key] == gold[key], f"{name}: {key} diverged"
+    digest = schedule_digest(name)
     decoded = [
-        _state_digest(row.cells)
+        digest(row.cells)
         for row in load_trace(trace.getvalue().splitlines())
     ]
     assert decoded == gold["state_hashes"], f"{name}: trace decode"

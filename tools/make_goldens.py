@@ -22,7 +22,9 @@ added them), and they are derived from the trajectory anyway.
 per-round state and event hashes for the non-FSYNC time models (SSYNC
 policies, faults, byzantine robots, async-lcm staleness) over small
 swarms with a round cap, plus each run's activation and byzantine
-counters and its terminal event.  ``tests/test_golden_schedules.py``
+counters and its terminal event.  It also pins the self-clocked
+baselines (Euclidean go-to-center, open and closed chains) under fsync
+and every model that accepts them.  ``tests/test_golden_schedules.py``
 replays every row, so a change that reorders one activation, fault or
 staleness draw fails a test instead of passing the determinism checks.
 """
@@ -89,6 +91,17 @@ SCENARIOS = {
 def _state_digest(cells) -> str:
     h = hashlib.sha256(repr(sorted(cells)).encode())
     return h.hexdigest()[:12]
+
+
+def _point_digest(points) -> str:
+    """:func:`_state_digest` of Euclidean points rounded to 6 decimals.
+
+    Their trajectory goes through ``np.hypot`` and ``math.hypot``, whose
+    last bit may differ between C libraries and Python versions.  Adding
+    ``0.0`` folds ``-0.0`` into ``0.0``."""
+    return _state_digest(
+        (round(x, 6) + 0.0, round(y, 6) + 0.0) for x, y in points
+    )
 
 
 #: Movement events — a pure function of the per-round moves.
@@ -197,15 +210,51 @@ SCHEDULE_MAX_ROUNDS = 60
 #: Engine terminal event kinds; each run ends with exactly one.
 TERMINAL_KINDS = ("gathered", "budget_exhausted", "connectivity_lost")
 
+#: The self-clocked baselines, one scenario each.
+STEPPED_FAMILIES = {
+    "euclidean": ("circle_12", Scenario(family="circle", n=12)),
+    "chain": ("hairpin_21", Scenario(family="hairpin", n=21)),
+    "closed_chain": ("rectangle_16", Scenario(family="rectangle", n=16)),
+}
+
+#: Their time models: fsync plus every schedule model except byzantine
+#: faults and staleness above 0, which reject self-clocked programs.
+STEPPED_MODELS = {
+    "fsync": dict(scheduler="fsync"),
+    **{
+        name: model
+        for name, model in SCHEDULE_MODELS.items()
+        if name not in ("byzantine_02", "async_lcm_d2")
+    },
+}
+
+#: Row name -> (strategy, scheduler options, scenario, connectivity
+#: check).  Self-clocked programs check no connectivity, so their rows
+#: carry no conn/noconn suffix.
 SCHEDULE_SCENARIOS = {
     f"{strategy}/{model}/{fam}/{'conn' if check else 'noconn'}": (
-        strategy, model, fam, check,
+        strategy, SCHEDULE_MODELS[model], SCHEDULE_FAMILIES[fam], check,
     )
     for strategy in SCHEDULE_STRATEGIES
     for model in sorted(SCHEDULE_MODELS)
     for fam in sorted(SCHEDULE_FAMILIES)
     for check in (True, False)
 }
+SCHEDULE_SCENARIOS.update(
+    (
+        f"{strategy}/{model}/{fam}",
+        (strategy, STEPPED_MODELS[model], scenario, True),
+    )
+    for strategy, (fam, scenario) in STEPPED_FAMILIES.items()
+    for model in sorted(STEPPED_MODELS)
+)
+
+
+def schedule_digest(name: str):
+    """The state digest of :data:`SCHEDULE_SCENARIOS` row ``name``."""
+    if SCHEDULE_SCENARIOS[name][0] == "euclidean":
+        return _point_digest
+    return _state_digest
 
 
 def _round_event_hashes(events, rounds: int) -> list:
@@ -226,17 +275,18 @@ def run_schedule_scenario(name: str, trace=None) -> dict:
     ``trace`` (a text buffer) also records the run's JSONL trace."""
     from repro.api import simulate
 
-    strategy, model, fam, check = SCHEDULE_SCENARIOS[name]
+    strategy, model, scenario, check = SCHEDULE_SCENARIOS[name]
+    digest = schedule_digest(name)
     snapshots: list = []
     result = simulate(
-        SCHEDULE_FAMILIES[fam],
+        scenario,
         strategy=strategy,
         seed=3,
         max_rounds=SCHEDULE_MAX_ROUNDS,
         check_connectivity=check,
-        on_round=lambda i, s: snapshots.append(_state_digest(s.cells)),
+        on_round=lambda i, s: snapshots.append(digest(s.cells)),
         trace=trace,
-        **SCHEDULE_MODELS[model],
+        **model,
     )
     terminals = [e.kind for e in result.events if e.kind in TERMINAL_KINDS]
     return {
