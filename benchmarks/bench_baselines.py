@@ -1,4 +1,5 @@
-"""Experiments E2-E4: the baselines the paper positions itself against.
+"""Experiments E2-E4, E9 and E10: the baselines the paper positions
+itself against, each run through ``simulate()``.
 
 E2 — [DKL+11] Euclidean go-to-center is Theta(n^2) in FSYNC rounds while
      the grid algorithm is O(n): measure both, fit exponents, locate the
@@ -6,29 +7,25 @@ E2 — [DKL+11] Euclidean go-to-center is Theta(n^2) in FSYNC rounds while
 E3 — the Section 1 remark: a fair ASYNC scheduler admits a simple O(n)
      strategy.
 E4 — [SN14] context: global vision gathers in O(diameter) rounds.
+E9, E10 — the chain lineage: [KM09]-flavoured chain shortening and
+     [ACLF+16] closed-chain gathering.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.analysis.fitting import scaling_exponent
 from repro.analysis.tables import format_table
-# reprolint: ok[F1] E2-E4 benchmark the per-baseline APIs themselves,
-# head-to-head against the facade path.
-from repro.baselines.async_greedy import gather_async
-
-# reprolint: ok[F1] E2 measures Euclidean go-to-center via its own API.
-from repro.baselines.euclidean import gather_euclidean, worst_case_circle
-
-# reprolint: ok[F1] no facade equivalent: E4 needs the per-robot moves.
-from repro.baselines.global_grid import gather_global_with_moves
 from repro.api import simulate
-from repro.swarms.generators import line, random_blob, solid_rectangle
+from repro.baselines.chain import hairpin_chain
+from repro.baselines.closed_chain import rectangle_chain
+from repro.engine.protocols import Scenario
+from repro.swarms.generators import line, random_blob, ring, solid_rectangle
 
-#: The [DKL+11] worst-case family: a circle with unit visibility.
-_euclid_circle = worst_case_circle
+
+def _euclid_circle(n):
+    """[DKL+11]'s worst case: a circle with unit visibility."""
+    return simulate(Scenario(family="circle", n=n), strategy="euclidean")
 
 
 def test_e2_euclidean_comparison(benchmark):
@@ -42,11 +39,12 @@ def test_e2_euclidean_comparison(benchmark):
     euc_rounds = []
     for n in sizes:
         g = simulate(line(n), check_connectivity=False)
-        e = gather_euclidean(_euclid_circle(n))
+        e = _euclid_circle(n)
         assert g.gathered and e.gathered
         grid_rounds.append(max(g.rounds, 1))
         euc_rounds.append(max(e.rounds, 1))
-        rows.append((n, g.rounds, e.rounds, f"{e.rounds / max(g.rounds, 1):.1f}x"))
+        ratio = e.rounds / max(g.rounds, 1)
+        rows.append((n, g.rounds, e.rounds, f"{ratio:.1f}x"))
     exp_grid = scaling_exponent([float(s) for s in sizes], grid_rounds)
     exp_euc = scaling_exponent([float(s) for s in sizes], euc_rounds)
     emit(
@@ -64,9 +62,7 @@ def test_e2_euclidean_comparison(benchmark):
     assert exp_euc > exp_grid + 0.5
     assert exp_euc > 1.6
     assert exp_grid < 1.45
-    benchmark.pedantic(
-        lambda: gather_euclidean(_euclid_circle(32)), rounds=1, iterations=1
-    )
+    benchmark.pedantic(lambda: _euclid_circle(32), rounds=1, iterations=1)
 
 
 def test_e3_async_fair_scheduler(benchmark):
@@ -76,7 +72,9 @@ def test_e3_async_fair_scheduler(benchmark):
     ns, rnds = [], []
     for n in (50, 100, 200, 400):
         cells = random_blob(n, seed=n)
-        r = gather_async(cells, check_connectivity=False)
+        r = simulate(
+            cells, strategy="async_greedy", check_connectivity=False
+        )
         assert r.gathered
         ns.append(n)
         rnds.append(max(r.rounds, 1))
@@ -92,7 +90,11 @@ def test_e3_async_fair_scheduler(benchmark):
     benchmark.extra_info["rows"] = rows
     assert exponent < 1.3
     benchmark.pedantic(
-        lambda: gather_async(random_blob(100, seed=100), check_connectivity=False),
+        lambda: simulate(
+            random_blob(100, seed=100),
+            strategy="async_greedy",
+            check_connectivity=False,
+        ),
         rounds=1,
         iterations=1,
     )
@@ -105,7 +107,8 @@ def test_e4_global_vision(benchmark):
     for n in (49, 100, 225, 400):
         side = int(round(n**0.5))
         cells = solid_rectangle(side, side)
-        result, moves = gather_global_with_moves(cells)
+        result = simulate(cells, strategy="global")
+        moves = result.extras["total_moves"]
         assert result.gathered
         rows.append(
             (
@@ -128,7 +131,7 @@ def test_e4_global_vision(benchmark):
     ratios = [float(r[4]) for r in rows]
     assert max(ratios) < 2.0
     benchmark.pedantic(
-        lambda: gather_global_with_moves(solid_rectangle(10, 10)),
+        lambda: simulate(solid_rectangle(10, 10), strategy="global"),
         rounds=1,
         iterations=1,
     )
@@ -139,7 +142,9 @@ def test_e2b_same_shape_both_models(benchmark):
     rows = []
     for n in (16, 32, 64):
         g = simulate(line(n), check_connectivity=False)
-        e = gather_euclidean([(0.9 * i, 0.0) for i in range(n)])
+        e = simulate(
+            [(0.9 * i, 0.0) for i in range(n)], strategy="euclidean"
+        )
         assert g.gathered and e.gathered
         rows.append((n, g.rounds, e.rounds))
     emit(
@@ -163,20 +168,17 @@ def test_e9_chain_shortening(benchmark):
     The gathering paper inherits its linear-time machinery from the chain
     line of work ([DKLH06] O(n^2 log n) -> [KM09] O(n) -> [ACLF+16] closed
     chains); this measures our chain shortener's regime."""
-    # reprolint: ok[F1] E9 benchmarks the chain baseline's own API.
-    from repro.baselines.chain import hairpin_chain, shorten_chain
-
     rows = []
     lens, rnds = [], []
     for depth in (16, 32, 64, 128):
-        chain = hairpin_chain(depth)
-        r = shorten_chain(chain)
-        assert r.shortened
-        lens.append(r.initial_length)
+        r = simulate(hairpin_chain(depth), strategy="chain")
+        assert r.gathered
+        length = r.robots_initial
+        lens.append(length)
         rnds.append(max(r.rounds, 1))
         rows.append(
-            (r.initial_length, r.optimal_length, r.rounds,
-             f"{r.rounds / r.initial_length:.2f}")
+            (length, r.extras["optimal_length"], r.rounds,
+             f"{r.rounds / length:.2f}")
         )
     exponent = scaling_exponent(lens, rnds)
     emit(
@@ -192,7 +194,9 @@ def test_e9_chain_shortening(benchmark):
     benchmark.extra_info["rows"] = rows
     assert exponent < 1.4
     benchmark.pedantic(
-        lambda: shorten_chain(hairpin_chain(64)), rounds=1, iterations=1
+        lambda: simulate(hairpin_chain(64), strategy="chain"),
+        rounds=1,
+        iterations=1,
     )
 
 
@@ -203,17 +207,13 @@ def test_e10_closed_chain(benchmark):
     on rectangle chains, next to the general algorithm on rings of the same
     robot count (the general problem the paper solves by *dropping* the
     chain structure)."""
-    # reprolint: ok[F1] E10 benchmarks the closed-chain baseline's API.
-    from repro.baselines.closed_chain import gather_closed_chain, rectangle_chain
-    from repro.swarms.generators import ring as ring_swarm
-
     rows = []
     lens, rnds = [], []
     for side in (8, 12, 16, 24):
         chain = rectangle_chain(side, side)
-        cc = gather_closed_chain(chain, seed=side)
+        cc = simulate(chain, strategy="closed_chain", seed=side)
         assert cc.gathered
-        general = simulate(ring_swarm(side), check_connectivity=False)
+        general = simulate(ring(side), check_connectivity=False)
         assert general.gathered
         lens.append(len(chain))
         rnds.append(max(cc.rounds, 1))
@@ -235,7 +235,9 @@ def test_e10_closed_chain(benchmark):
     benchmark.extra_info["rows"] = rows
     assert exponent < 1.6  # randomized variant: linear in expectation
     benchmark.pedantic(
-        lambda: gather_closed_chain(rectangle_chain(12, 12), seed=1),
+        lambda: simulate(
+            rectangle_chain(12, 12), strategy="closed_chain", seed=1
+        ),
         rounds=1,
         iterations=1,
     )

@@ -9,7 +9,12 @@ Run:  python examples/scaling_study.py [--fast]
 
 import sys
 
-from repro.analysis import fit_linear, format_table, run_scaling, scaling_exponent
+from repro.analysis import (
+    fit_linear,
+    format_table,
+    run_scaling,
+    scaling_exponent,
+)
 from repro.viz.svg import line_chart
 
 

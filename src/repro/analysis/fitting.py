@@ -51,7 +51,9 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> FitResult:
     if xa.size < 2:
         raise ValueError("need at least two points to fit")
     a, b = np.polyfit(xa, ya, 1)
-    return FitResult("linear", (float(a), float(b)), _r_squared(ya, a * xa + b))
+    return FitResult(
+        "linear", (float(a), float(b)), _r_squared(ya, a * xa + b)
+    )
 
 
 def fit_quadratic(x: Sequence[float], y: Sequence[float]) -> FitResult:

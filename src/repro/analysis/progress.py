@@ -24,7 +24,9 @@ from repro.grid.boundary import extract_boundaries
 from repro.grid.occupancy import SwarmState
 
 
-def is_mergeless(state: SwarmState | Set, cfg: AlgorithmConfig | None = None) -> bool:
+def is_mergeless(
+    state: SwarmState | Set, cfg: AlgorithmConfig | None = None
+) -> bool:
     """True when no merge pattern fires anywhere in the swarm."""
     cfg = cfg or AlgorithmConfig()
     swarm = state if isinstance(state, SwarmState) else SwarmState(state)

@@ -18,18 +18,19 @@ Strategies and schedulers are string-keyed registries (mirroring
 :data:`repro.swarms.generators.FAMILIES`), populated by decorator at
 import time:
 
-* :data:`STRATEGIES` — ``grid``, ``global``, ``euclidean``,
-  ``async_greedy``, ``chain``, ``closed_chain``;
-* :data:`SCHEDULERS` — ``fsync`` (the paper's time model; also drives
-  the bespoke self-clocked FSYNC loops of the Euclidean and chain
-  baselines), ``async`` (the fair sequential scheduler), ``ssync``
-  / ``ssync-faulty`` (semi-synchronous subset activation under a
-  k-fairness bound, optionally with seeded crash-stop, transient
-  sleep and byzantine faults — see :mod:`repro.engine.ssync_scheduler`)
-  and ``async-lcm`` (non-atomic look-compute-move with bounded
-  staleness).  ``fsync``, ``ssync``, ``ssync-faulty`` and ``async-lcm``
-  drive grid-state programs through the one round loop,
-  :class:`repro.engine.scheduler.RoundEngine`.
+* :data:`STRATEGIES` — ``grid``, ``tolerant``, ``global``,
+  ``euclidean``, ``async_greedy``, ``chain``, ``closed_chain``;
+* :data:`SCHEDULERS` — ``fsync`` (the paper's time model), ``async``
+  (the fair sequential scheduler), ``ssync`` / ``ssync-faulty``
+  (semi-synchronous subset activation under a k-fairness bound,
+  optionally with seeded crash-stop, transient sleep and byzantine
+  faults — see :mod:`repro.engine.ssync_scheduler`) and ``async-lcm``
+  (non-atomic look-compute-move with bounded staleness).  ``fsync``,
+  ``ssync``, ``ssync-faulty`` and ``async-lcm`` drive grid-state
+  programs through the one round loop,
+  :class:`repro.engine.scheduler.RoundEngine`, and the self-clocked
+  Euclidean and chain baselines through the one stepped loop,
+  :func:`_drive_stepped`.
 
 Adversarial scheduling, for example — any strategy, one keyword:
 
@@ -38,11 +39,9 @@ Adversarial scheduling, for example — any strategy, one keyword:
 >>> result.events.counts()["activation"] == result.rounds
 True
 
-Every run returns one :class:`repro.engine.protocols.RunResult`.  The
-legacy per-workload entry points (``gather``, ``gather_async``,
-``gather_euclidean``, ``gather_global``, ``shorten_chain``,
-``gather_closed_chain``) are thin deprecation shims over ``simulate()``
-and keep returning their historical result types byte-identically.
+Every run returns one :class:`repro.engine.protocols.RunResult`.
+``repro.core.algorithm.gather`` stays as the quickstart spelling of
+``simulate(cells)`` and returns the same result.
 
 New time models and workloads plug in by registering a class here — see
 ``docs/api.md`` for the contract and ``docs/schedulers.md`` for the
@@ -51,7 +50,16 @@ SSYNC/fault model semantics.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.baselines.async_greedy import AsyncGreedyGatherer
 from repro.baselines.chain import ChainShortener, hairpin_chain, zigzag_chain
@@ -76,17 +84,12 @@ from repro.engine.protocols import (
     Scenario,
     Scheduler,
     SimContext,
-    SsyncSteppable,
     StateView,
     SteppedProgram,
     Strategy,
 )
 from repro.engine.scheduler import RoundEngine
-from repro.engine.ssync_scheduler import (
-    ActivationSchedule,
-    drive_stepped_ssync,
-    make_policy,
-)
+from repro.engine.ssync_scheduler import ActivationSchedule, make_policy
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import family
 from repro.trace.recorder import TraceRecorder
@@ -151,20 +154,50 @@ def _span(points: Sequence[Any]) -> float:
 # Schedulers
 # ----------------------------------------------------------------------
 def _drive_stepped(
-    program: SteppedProgram, ctx: SimContext, scheduler_key: str
+    program: SteppedProgram,
+    ctx: SimContext,
+    scheduler_key: str,
+    schedule: Optional[ActivationSchedule] = None,
 ) -> RunResult:
-    """Generic loop for self-clocked FSYNC programs: step until done or
-    budget, recording round metrics/events the legacy loops lacked."""
+    """Run a self-clocked program (the Euclidean and chain baselines)
+    round by round: FSYNC without a schedule, SSYNC / async-lcm at
+    Δ = 0 with one.
+
+    Without a schedule every robot acts: the loop builds no roster and
+    no hints, emits no ``activation`` events and reports no
+    activations.  With one, each round selects the active subset of the
+    program's roster of stable robot tokens."""
     metrics = MetricsLog()
     events = EventLog()
     budget = (
         ctx.max_rounds if ctx.max_rounds is not None
         else program.default_budget()
     )
+    activations = 0
+    if schedule is not None:
+        schedule.events = events
+        roster = program.roster()
+        cells = program.view().cells
+    # Adversarial-policy hints: stepped programs have no run manager, so
+    # the progress carriers are whoever moved last round (roster order
+    # matches view() order for every stepped program).
+    moved: FrozenSet[Any] = frozenset()
     rounds = 0
     done = program.done()
     while not done and rounds < budget:
-        program.step(rounds, metrics, events)
+        if schedule is None:
+            program.step(rounds, None, metrics, events)
+        else:
+            active = schedule.select(rounds, roster, hints=moved)
+            activations += len(active)
+            program.step(rounds, active, metrics, events)
+            before = dict(zip(roster, cells))
+            roster = program.roster()
+            cells = program.view().cells
+            moved = frozenset(
+                t for t, c in zip(roster, cells) if before.get(t) != c
+            )
+            schedule.commit(active, survivors=roster)
         if ctx.on_round is not None:
             ctx.on_round(rounds, program.view())
         rounds += 1
@@ -188,6 +221,7 @@ def _drive_stepped(
         metrics=metrics,
         events=events,
         final_state=final_state,
+        activations=activations if schedule is not None else None,
         extras=fields,
     )
 
@@ -218,7 +252,6 @@ def _drive_rounds(
         staleness=staleness,
         seed=seed ^ _STALENESS_SEED_SALT,
         check_connectivity=program.check_connectivity,
-        track_boundary=ctx.track_boundary,
         on_round=ctx.on_round,
     )
     res = engine.run(max_rounds=ctx.max_rounds)
@@ -247,9 +280,9 @@ class FsyncScheduler:
 
     Drives either an engine-backed :class:`FsyncProgram` (grid
     controllers via :class:`repro.engine.scheduler.RoundEngine` without
-    a schedule) or a bespoke self-clocked FSYNC loop
-    (:class:`SteppedProgram`: the Euclidean and chain baselines, which
-    are FSYNC models over non-grid state).
+    a schedule) or a :class:`SteppedProgram` (the Euclidean and chain
+    baselines over non-grid state) via :func:`_drive_stepped` without
+    a schedule.
     """
 
     key = "fsync"
@@ -401,7 +434,7 @@ class _SsyncSchedulerBase:
         schedule = self._build_schedule(ctx)
         if isinstance(program, (FsyncProgram, AsyncProgram)):
             return _drive_rounds(program, ctx, self.key, schedule, staleness)
-        if isinstance(program, SsyncSteppable):
+        if isinstance(program, SteppedProgram):
             faults = schedule.faults
             if faults is not None and faults.byzantine_rate > 0.0:
                 raise ValueError(
@@ -417,11 +450,11 @@ class _SsyncSchedulerBase:
                     "snapshot archive); grid-state strategies support "
                     "any staleness bound"
                 )
-            return drive_stepped_ssync(program, schedule, ctx, self.key)
+            return _drive_stepped(program, ctx, self.key, schedule)
         raise TypeError(
             f"program {type(program).__name__} does not support the "
-            f"{self.key} scheduler (needs FsyncProgram, AsyncProgram, or "
-            f"the ssync_roster/ssync_step surface)"
+            f"{self.key} scheduler (needs FsyncProgram, AsyncProgram or "
+            f"SteppedProgram)"
         )
 
 
@@ -617,7 +650,7 @@ class AsyncGreedyStrategy:
 
 
 # ----------------------------------------------------------------------
-# Self-clocked FSYNC baselines (Euclidean, chains)
+# Self-clocked baselines (Euclidean, chains)
 # ----------------------------------------------------------------------
 class _EuclideanProgram:
     """Drives [DKL+11] go-to-center rounds over a continuous swarm."""
@@ -639,32 +672,22 @@ class _EuclideanProgram:
         return self.swarm.diameter() <= self.gather_diameter
 
     def default_budget(self) -> int:
-        # the legacy gather_euclidean budget: generous Theta(n^2)
+        # generous Theta(n^2)
         n = self.robots_initial
         return 300 * n * n + 1000
 
-    def step(
-        self, round_index: int, metrics: MetricsLog, events: EventLog
-    ) -> None:
-        self.gatherer.step(self.swarm)
-        self._record(round_index, metrics)
-
-    def ssync_roster(self) -> List[int]:
+    def roster(self) -> List[int]:
         # Continuous robots never merge, so array indices are stable ids.
         return list(range(len(self.swarm)))
 
-    def ssync_step(
+    def step(
         self,
         round_index: int,
-        active: Any,
+        active: Optional[Set[int]],
         metrics: MetricsLog,
         events: EventLog,
-    ) -> Dict[int, int]:
-        self.gatherer.step(self.swarm, active=set(active))
-        self._record(round_index, metrics)
-        return {}
-
-    def _record(self, round_index: int, metrics: MetricsLog) -> None:
+    ) -> None:
+        self.gatherer.step(self.swarm, active=active)
         diameter = self.swarm.diameter()
         if self.record_diameter:
             self.diameters.append(diameter)
@@ -733,28 +756,23 @@ class EuclideanStrategy:
 
 class _ChainProgramBase:
     """Shared stepping for the chain gatherers: both wrap a stepper
-    exposing ``.chain`` (the current cell list) and ``.step()`` (one
-    FSYNC round); a shrinking chain is the merge analog, recorded as
-    ``merge`` events and per-round metrics."""
+    exposing ``.chain`` (the current cell list), and each subclass's
+    ``_advance(active)`` runs one round of it; a shrinking chain is the
+    merge analog, recorded as ``merge`` events and per-round metrics."""
 
     def __init__(self, stepper: Any) -> None:
         self.stepper = stepper
         self.robots_initial = len(stepper.chain)
 
     def step(
-        self, round_index: int, metrics: MetricsLog, events: EventLog
-    ) -> None:
-        before = len(self.stepper.chain)
-        self.stepper.step()
-        self._record(round_index, before, metrics, events)
-
-    def _record(
         self,
         round_index: int,
-        before: int,
+        active: Optional[Set[int]],
         metrics: MetricsLog,
         events: EventLog,
     ) -> None:
+        before = len(self.stepper.chain)
+        self._advance(active)
         chain = self.stepper.chain
         removed = before - len(chain)
         if removed:
@@ -786,8 +804,8 @@ class _ChainProgram(_ChainProgramBase):
 
     def __init__(self, stepper: ChainShortener) -> None:
         super().__init__(stepper)
-        # Stable relay ids for the SSYNC roster, migrated through the
-        # keep mask each round (removed relays drop out).
+        # Stable relay ids for the roster, migrated through the keep
+        # mask each round (removed relays drop out).
         self._ids = list(range(len(stepper.chain)))
 
     def done(self) -> bool:
@@ -796,22 +814,16 @@ class _ChainProgram(_ChainProgramBase):
     def default_budget(self) -> int:
         return 50 * self.robots_initial + 100
 
-    def ssync_roster(self) -> List[int]:
+    def roster(self) -> List[int]:
         return list(self._ids)
 
-    def ssync_step(
-        self,
-        round_index: int,
-        active: Any,
-        metrics: MetricsLog,
-        events: EventLog,
-    ) -> Dict[int, int]:
-        before = len(self.stepper.chain)
-        mask = [relay_id in active for relay_id in self._ids]
+    def _advance(self, active: Optional[Set[int]]) -> None:
+        mask = (
+            None if active is None
+            else [relay_id in active for relay_id in self._ids]
+        )
         keep = self.stepper.step_active(mask)
         self._ids = [i for i, k in zip(self._ids, keep) if k]
-        self._record(round_index, before, metrics, events)
-        return {}
 
     def result_fields(self) -> Dict[str, Any]:
         fields = super().result_fields()
@@ -868,21 +880,12 @@ class _ClosedChainProgram(_ChainProgramBase):
     def default_budget(self) -> int:
         return 400 * self.robots_initial + 400
 
-    def ssync_roster(self) -> List[int]:
+    def roster(self) -> List[int]:
         # The gatherer's linked-ring nodes already carry stable ids.
         return self.stepper.node_ids
 
-    def ssync_step(
-        self,
-        round_index: int,
-        active: Any,
-        metrics: MetricsLog,
-        events: EventLog,
-    ) -> Dict[int, int]:
-        before = len(self.stepper.chain)
-        self.stepper.step(active_ids=set(active))
-        self._record(round_index, before, metrics, events)
-        return {}
+    def _advance(self, active: Optional[Set[int]]) -> None:
+        self.stepper.step(active_ids=active)
 
 
 @register_strategy
@@ -951,7 +954,6 @@ def simulate(
     max_rounds: Optional[int] = None,
     seed: Optional[int] = None,
     check_connectivity: bool = True,
-    track_boundary: bool = False,
     on_round: Optional[Callable[[int, Any], None]] = None,
     record_trajectory: bool = False,
     trace: Optional[Any] = None,
@@ -984,8 +986,7 @@ def simulate(
         One seed for everything stochastic: scenario generation (unless
         the Scenario pins its own), the ASYNC activation order, the
         closed chain's coins, the SSYNC activation policy and fault
-        draws.  ``None`` keeps each component's legacy default, so
-        unseeded calls are bit-identical to the old entry points (the
+        draws.  ``None`` keeps each component's default seed (the
         SSYNC schedulers read ``None`` as seed 0 — always
         deterministic).
     check_connectivity:
@@ -1042,7 +1043,6 @@ def simulate(
         max_rounds=max_rounds,
         seed=seed,
         check_connectivity=check_connectivity,
-        track_boundary=track_boundary,
         options=dict(options),
     )
     resolved = strat.resolve(sc, ctx)

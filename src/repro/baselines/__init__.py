@@ -20,39 +20,24 @@
 from repro.baselines.euclidean import (
     EuclideanSwarm,
     GoToCenterGatherer,
-    gather_euclidean,
     smallest_enclosing_circle,
     worst_case_circle,
 )
-from repro.baselines.global_grid import GlobalVisionGatherer, gather_global
-from repro.baselines.async_greedy import AsyncGreedyGatherer, gather_async
-from repro.baselines.chain import (
-    ChainShortener,
-    hairpin_chain,
-    shorten_chain,
-    zigzag_chain,
-)
-from repro.baselines.closed_chain import (
-    ClosedChainGatherer,
-    gather_closed_chain,
-    rectangle_chain,
-)
+from repro.baselines.global_grid import GlobalVisionGatherer
+from repro.baselines.async_greedy import AsyncGreedyGatherer
+from repro.baselines.chain import ChainShortener, hairpin_chain, zigzag_chain
+from repro.baselines.closed_chain import ClosedChainGatherer, rectangle_chain
 
 __all__ = [
     "EuclideanSwarm",
     "GoToCenterGatherer",
-    "gather_euclidean",
     "smallest_enclosing_circle",
     "worst_case_circle",
     "GlobalVisionGatherer",
-    "gather_global",
     "AsyncGreedyGatherer",
-    "gather_async",
     "ChainShortener",
     "hairpin_chain",
-    "shorten_chain",
     "zigzag_chain",
     "ClosedChainGatherer",
-    "gather_closed_chain",
     "rectangle_chain",
 ]

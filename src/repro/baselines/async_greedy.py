@@ -15,9 +15,6 @@ machinery restores).  Experiment E3 measures the O(n) rounds claim.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.engine.async_scheduler import AsyncResult
 from repro.grid.geometry import Cell, add, neighbors4, perpendicular, sub
 from repro.grid.occupancy import SwarmState
 
@@ -40,28 +37,3 @@ class AsyncGreedyGatherer:
                 # adjacencies, so either is safe.
                 return target
         return robot
-
-
-def gather_async(
-    cells,
-    *,
-    seed: int = 0,
-    max_rounds: Optional[int] = None,
-    check_connectivity: bool = True,
-) -> AsyncResult:
-    """Gather under the fair ASYNC scheduler; one robot active at a time.
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="async_greedy")`` — prefer
-        :func:`repro.api.simulate`.
-    """
-    from repro.api import simulate
-
-    result = simulate(
-        cells,
-        strategy="async_greedy",
-        seed=seed,
-        max_rounds=max_rounds,
-        check_connectivity=check_connectivity,
-    )
-    return AsyncResult.from_run_result(result)

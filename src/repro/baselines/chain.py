@@ -25,19 +25,9 @@ paper inherits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.grid.geometry import Cell, chebyshev
-
-
-@dataclass
-class ChainResult:
-    shortened: bool
-    rounds: int
-    initial_length: int
-    final_length: int
-    optimal_length: int
 
 
 def _adjacent8(a: Cell, b: Cell) -> bool:
@@ -118,41 +108,6 @@ class ChainShortener:
         self.chain = result
         self.round_index += 1
         return keep
-
-    def run(self, max_rounds: Optional[int] = None) -> ChainResult:
-        initial = len(self.chain)
-        budget = max_rounds if max_rounds is not None else 50 * initial + 100
-        while not self.is_minimal() and self.round_index < budget:
-            self.step()
-        return ChainResult(
-            shortened=self.is_minimal(),
-            rounds=self.round_index,
-            initial_length=initial,
-            final_length=len(self.chain),
-            optimal_length=self.optimal_length,
-        )
-
-
-def shorten_chain(
-    chain: Sequence[Cell], *, max_rounds: Optional[int] = None
-) -> ChainResult:
-    """Convenience wrapper: shorten ``chain`` to minimal length.
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="chain")`` — prefer
-        :func:`repro.api.simulate`, whose :class:`RunResult` also carries
-        per-round metrics and events.
-    """
-    from repro.api import simulate
-
-    result = simulate(chain, strategy="chain", max_rounds=max_rounds)
-    return ChainResult(
-        shortened=result.gathered,
-        rounds=result.rounds,
-        initial_length=result.extras["initial_length"],
-        final_length=result.extras["final_length"],
-        optimal_length=result.extras["optimal_length"],
-    )
 
 
 def hairpin_chain(depth: int, width: int = 2) -> List[Cell]:

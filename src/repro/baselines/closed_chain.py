@@ -30,18 +30,9 @@ Operations per acting robot (both keep every chain link 8-adjacent):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.grid.geometry import Cell, chebyshev
-
-
-@dataclass
-class ClosedChainResult:
-    gathered: bool
-    rounds: int
-    robots_initial: int
-    robots_final: int
 
 
 def _adjacent8(a: Cell, b: Cell) -> bool:
@@ -181,41 +172,6 @@ class ClosedChainGatherer:
         for node, cand in pulls:
             node.cell = cand
         self.round_index += 1
-
-    def run(self, max_rounds: Optional[int] = None) -> ClosedChainResult:
-        n0 = len(self.chain)
-        budget = max_rounds if max_rounds is not None else 400 * n0 + 400
-        while not self.is_gathered() and self.round_index < budget:
-            self.step()
-        return ClosedChainResult(
-            gathered=self.is_gathered(),
-            rounds=self.round_index,
-            robots_initial=n0,
-            robots_final=len(self.chain),
-        )
-
-
-def gather_closed_chain(
-    chain: Sequence[Cell], *, seed: int = 0, max_rounds: Optional[int] = None
-) -> ClosedChainResult:
-    """Gather a closed chain into a 2x2 square.
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="closed_chain")`` — prefer
-        :func:`repro.api.simulate`, whose :class:`RunResult` also carries
-        per-round metrics and events.
-    """
-    from repro.api import simulate
-
-    result = simulate(
-        chain, strategy="closed_chain", seed=seed, max_rounds=max_rounds
-    )
-    return ClosedChainResult(
-        gathered=result.gathered,
-        rounds=result.rounds,
-        robots_initial=result.robots_initial,
-        robots_final=result.robots_final,
-    )
 
 
 def rectangle_chain(width: int, height: int) -> List[Cell]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +38,9 @@ def _circle_two(a: Point, b: Point) -> Tuple[Point, float]:
     return ((cx, cy), r)
 
 
-def _circle_three(a: Point, b: Point, c: Point) -> Optional[Tuple[Point, float]]:
+def _circle_three(
+    a: Point, b: Point, c: Point
+) -> Optional[Tuple[Point, float]]:
     ax, ay = a
     bx, by = b
     cx, cy = c
@@ -110,14 +111,6 @@ def smallest_enclosing_circle(
 # ----------------------------------------------------------------------
 # The FSYNC Euclidean swarm
 # ----------------------------------------------------------------------
-@dataclass
-class EuclideanResult:
-    gathered: bool
-    rounds: int
-    robots: int
-    diameters: List[float] = field(default_factory=list)
-
-
 class EuclideanSwarm:
     """Positions + unit-disk visibility in the plane."""
 
@@ -215,38 +208,3 @@ def worst_case_circle(n: int) -> List[Point]:
         )
         for i in range(n)
     ]
-
-
-def gather_euclidean(
-    positions: Sequence[Point],
-    *,
-    view_range: float = 1.0,
-    gather_diameter: float = 1.0,
-    max_rounds: Optional[int] = None,
-    record_diameter: bool = False,
-) -> EuclideanResult:
-    """Run go-to-center until the swarm's diameter falls below
-    ``gather_diameter`` (robots within one viewing disk count as gathered —
-    the merge analog of the continuous model).
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="euclidean")`` — prefer
-        :func:`repro.api.simulate`, whose :class:`RunResult` also carries
-        per-round metrics and events.
-    """
-    from repro.api import simulate
-
-    result = simulate(
-        positions,
-        strategy="euclidean",
-        max_rounds=max_rounds,
-        view_range=view_range,
-        gather_diameter=gather_diameter,
-        record_diameter=record_diameter,
-    )
-    return EuclideanResult(
-        gathered=result.gathered,
-        rounds=result.rounds,
-        robots=result.robots_initial,
-        diameters=result.extras["diameters"],
-    )

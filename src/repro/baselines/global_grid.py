@@ -13,9 +13,8 @@ connectivity check off.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
-from repro.engine.scheduler import GatherResult
 from repro.grid.geometry import Cell
 from repro.grid.occupancy import SwarmState
 
@@ -54,34 +53,3 @@ class GlobalVisionGatherer:
         # under SSYNC the scheduler drops non-activated robots' planned
         # moves, so counting here (not in plan_round) stays honest.
         self.total_moves += len(moves)
-
-
-def gather_global(
-    cells, *, max_rounds: Optional[int] = None
-) -> GatherResult:
-    """Gather with global vision; returns the standard result object.
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="global")`` — prefer
-        :func:`repro.api.simulate`, whose :class:`RunResult` carries the
-        [SN14] cost measure in ``extras["total_moves"]``.
-    """
-    result, _ = gather_global_with_moves(cells, max_rounds=max_rounds)
-    return result
-
-
-def gather_global_with_moves(
-    cells, *, max_rounds: Optional[int] = None
-) -> tuple[GatherResult, int]:
-    """Like :func:`gather_global` but also returns total cell moves.
-
-    .. deprecated:: 1.1
-        Thin shim over ``simulate(strategy="global")``.
-    """
-    from repro.api import simulate
-
-    result = simulate(cells, strategy="global", max_rounds=max_rounds)
-    return (
-        GatherResult.from_run_result(result),
-        result.extras["total_moves"],
-    )

@@ -24,7 +24,7 @@ from repro.core.patterns import plan_merges
 from repro.core.quasiline import run_start_sites
 from repro.core.runs import RunManager
 from repro.engine.events import EventLog
-from repro.engine.scheduler import GatherResult
+from repro.engine.protocols import RunResult
 from repro.grid.geometry import Cell
 from repro.grid.occupancy import SwarmState
 from repro.grid.ring import RingSet
@@ -155,30 +155,26 @@ def gather(
     *,
     max_rounds: Optional[int] = None,
     check_connectivity: bool = True,
-    track_boundary: bool = False,
     on_round=None,
-) -> GatherResult:
+) -> RunResult:
     """Convenience entry point: gather a swarm, return the result.
 
     ``cells`` is any iterable of ``(x, y)`` robot positions forming a
     connected swarm.  See :class:`repro.core.config.AlgorithmConfig` for
     the paper's constants and the ablation knobs.
 
-    Thin shim over ``simulate(strategy="grid")`` — the facade
-    (:func:`repro.api.simulate`) is the canonical entry point and the
-    one that also runs every baseline; this wrapper stays as the
-    quickstart spelling and returns the legacy :class:`GatherResult`
-    (same metrics/events/state objects, byte-identical trajectories).
+    The quickstart spelling of ``simulate(cells, config=cfg)``: the
+    facade (:func:`repro.api.simulate`) is the canonical entry point and
+    the one that also runs every baseline; this wrapper returns its
+    :class:`~repro.engine.protocols.RunResult` unchanged.
     """
     from repro.api import simulate
 
-    result = simulate(
+    return simulate(
         cells,
         strategy="grid",
         config=cfg,
         max_rounds=max_rounds,
         check_connectivity=check_connectivity,
-        track_boundary=track_boundary,
         on_round=on_round,
     )
-    return GatherResult.from_run_result(result)

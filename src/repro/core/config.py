@@ -89,7 +89,9 @@ class AlgorithmConfig:
         return cls(**kwargs)
 
     @classmethod
-    def with_radius(cls, viewing_radius: int, **overrides) -> "AlgorithmConfig":
+    def with_radius(
+        cls, viewing_radius: int, **overrides
+    ) -> "AlgorithmConfig":
         """A config for a non-default viewing radius with the dependent
         fields derived consistently: the maximum bump length is the
         largest ``k`` satisfying the locality budget ``2k + 2 <= r``

@@ -48,21 +48,6 @@ class AsyncResult:
     events: EventLog = field(default_factory=EventLog)
     final_state: Optional[SwarmState] = None
 
-    @classmethod
-    def from_run_result(cls, result) -> "AsyncResult":
-        """Repackage a facade :class:`~repro.engine.protocols.RunResult`
-        (used by the ``gather_async`` shim)."""
-        return cls(
-            gathered=result.gathered,
-            rounds=result.rounds,
-            activations=result.activations,
-            robots_initial=result.robots_initial,
-            robots_final=result.robots_final,
-            metrics=result.metrics,
-            events=result.events,
-            final_state=result.final_state,
-        )
-
 
 class AsyncEngine:
     """Fair sequential scheduler: one robot moves at a time.

@@ -1,9 +1,9 @@
 """Per-round metric time-series.
 
 The experiments need a handful of series per simulation: robot count,
-merges per round, bounding-box diameter, and (optionally, since it costs a
-boundary trace) outer-boundary length and enclosed area.  ``MetricsLog``
-collects them and exports numpy arrays for the analysis layer.
+merges per round, bounding-box diameter, and (for controllers that run
+the paper's runs) the number of active runs.  ``MetricsLog`` collects
+them and exports numpy arrays for the analysis layer.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class RoundMetrics:
     #: Chebyshev diameter for grid workloads (int); the continuous
     #: Euclidean baseline records its float diameter here.
     diameter: float
-    boundary_length: Optional[int] = None
-    enclosed_area: Optional[float] = None
     active_runs: Optional[int] = None
 
 
@@ -73,5 +71,7 @@ class MetricsLog:
         return {
             "rounds": float(self._rows[-1].round_index + 1),
             "merged": float(self.total_merged()),
-            "merge_rounds": float(len(self._rows) - self.rounds_without_merge()),
+            "merge_rounds": float(
+                len(self._rows) - self.rounds_without_merge()
+            ),
         }

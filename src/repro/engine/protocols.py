@@ -10,19 +10,16 @@ strategies can depend on the *types* without importing the registry:
   family + size, or an explicit cell/point/chain payload);
 * :class:`SimContext` — the per-call knobs a strategy/scheduler receives
   (config, budget, seed, hooks);
-* :class:`RunResult` — the one result type every simulation returns,
-  subsuming the legacy ``GatherResult`` / ``AsyncResult`` /
-  ``EuclideanResult`` / ``ChainResult`` / ``ClosedChainResult``;
+* :class:`RunResult` — the one result type every simulation returns;
 * :class:`Strategy` / :class:`Scheduler` — the two registry protocols;
 * the *program* types schedulers drive: :class:`FsyncProgram` and
-  :class:`AsyncProgram` (engine-backed), :class:`SteppedProgram`
-  (bespoke self-clocked FSYNC loops: Euclidean go-to-center and the two
-  chain gatherers), and :class:`SsyncSteppable` (stepped programs that
-  additionally support per-robot subset activation for the SSYNC
-  scheduler).
+  :class:`AsyncProgram` (engine-backed) and :class:`SteppedProgram`
+  (self-clocked programs over non-grid state: Euclidean go-to-center
+  and the two chain gatherers, driven by the one stepped loop under
+  FSYNC, SSYNC and async-lcm at Δ = 0).
 
 See ``docs/api.md`` for the full facade contract and the migration
-table from the old per-workload entry points.
+table from the removed per-workload entry points.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     runtime_checkable,
 )
@@ -94,7 +92,6 @@ class SimContext:
     max_rounds: Optional[int] = None
     seed: Optional[int] = None
     check_connectivity: bool = True
-    track_boundary: bool = False
     on_round: Optional[Callable[[int, Any], None]] = None
     options: Dict[str, Any] = field(default_factory=dict)
 
@@ -122,17 +119,17 @@ class RunResult:
     ``gathered`` means "reached the workload's goal" (a 2x2 square for
     grid gathering, diameter below threshold for the Euclidean model, a
     minimal chain for chain shortening).  ``metrics`` and ``events`` are
-    populated for *every* strategy (the legacy chain/Euclidean entry
-    points recorded neither); ``events`` always ends with a terminal
-    ``gathered`` / ``budget_exhausted`` event (or ``connectivity_lost``
-    when an SSYNC run broke the algorithm's connectivity invariant), and
-    the SSYNC schedulers add per-round ``activation`` and ``fault``
-    events (schema in ``docs/schedulers.md``).  ``final_state`` is the
-    strategy's native state object (:class:`~repro.grid.occupancy.
-    SwarmState` for grid workloads, an ``EuclideanSwarm`` for the
-    continuous baseline, a cell list for chains).  ``activations``
-    counts total robot-activations under the ``async`` and ``ssync``
-    schedulers (``None`` elsewhere).  ``extras`` carries
+    populated for *every* strategy; ``events`` always ends with a
+    terminal ``gathered`` / ``budget_exhausted`` event (or
+    ``connectivity_lost`` when an SSYNC run broke the algorithm's
+    connectivity invariant), and the SSYNC schedulers add per-round
+    ``activation`` and ``fault`` events (schema in
+    ``docs/schedulers.md``).  ``final_state`` is the strategy's native
+    state object (:class:`~repro.grid.occupancy.SwarmState` for grid
+    workloads, an ``EuclideanSwarm`` for the continuous baseline, a
+    cell list for chains).  ``activations`` counts total
+    robot-activations under every scheduler but ``fsync`` (``None``
+    there).  ``extras`` carries
     strategy-specific scalars/series (e.g. ``total_moves``,
     ``optimal_length``, ``diameters``); ``initial_diameter`` is always
     present.  ``trajectory`` holds per-round snapshots when
@@ -235,11 +232,21 @@ class StateView:
 
 @runtime_checkable
 class SteppedProgram(Protocol):
-    """A bespoke self-clocked FSYNC loop (Euclidean go-to-center, open-
-    and closed-chain gathering).  The FSYNC scheduler adapter drives it
-    round by round, collecting metrics/events into the shared logs —
-    this is what gives the legacy metric-less baselines ``RunResult``
-    parity."""
+    """A self-clocked program over non-grid state (Euclidean
+    go-to-center, open- and closed-chain gathering), driven round by
+    round by :func:`repro.api._drive_stepped` under every time model
+    that accepts it.
+
+    ``roster`` returns *stable* robot tokens in the order of
+    ``view().cells`` — array indices for the Euclidean program,
+    wrapper-maintained ids for the open chain, node ids for the closed
+    chain.  A token survives rounds unchanged for as long as its robot
+    exists; robots that leave (chain contractions) drop out.
+
+    ``step`` executes one round in which only the robots in ``active``
+    perform their look-compute-move cycle (``None``: every robot, the
+    FSYNC round) and records the round's metrics and events.
+    """
 
     robots_initial: int
 
@@ -247,43 +254,19 @@ class SteppedProgram(Protocol):
 
     def default_budget(self) -> int: ...
 
+    def roster(self) -> List[Any]: ...
+
     def step(
-        self, round_index: int, metrics: MetricsLog, events: EventLog
+        self,
+        round_index: int,
+        active: Optional[Set[Any]],
+        metrics: MetricsLog,
+        events: EventLog,
     ) -> None: ...
 
     def view(self) -> Any: ...
 
     def result_fields(self) -> Dict[str, Any]: ...
-
-
-@runtime_checkable
-class SsyncSteppable(Protocol):
-    """A stepped program that also supports per-robot subset activation,
-    making it drivable by the SSYNC scheduler
-    (:mod:`repro.engine.ssync_scheduler`).
-
-    ``ssync_roster`` returns *stable* robot tokens in canonical order —
-    array indices for the Euclidean program, wrapper-maintained ids for
-    the open chain, node ids for the closed chain.  Tokens must survive
-    rounds unchanged for as long as the robot exists; robots that leave
-    (chain contractions) simply drop out of the roster.
-
-    ``ssync_step`` executes one round in which only the robots in
-    ``active`` perform their look-compute-move cycle, records the same
-    per-round metrics/events as ``step``, and returns a token-rename
-    mapping (old token -> new token) for drivers whose identities shift
-    — programs with stable tokens return an empty mapping.
-    """
-
-    def ssync_roster(self) -> List[Any]: ...
-
-    def ssync_step(
-        self,
-        round_index: int,
-        active: Any,
-        metrics: MetricsLog,
-        events: EventLog,
-    ) -> Dict[Any, Any]: ...
 
 
 # ----------------------------------------------------------------------

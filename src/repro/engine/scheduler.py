@@ -52,13 +52,11 @@ from repro.engine.events import EventLog
 from repro.engine.faults import BYZANTINE_BEHAVIORS, _mix, _token_int
 from repro.engine.metrics import MetricsLog, RoundMetrics
 from repro.engine.termination import default_round_budget, is_gathered
-from repro.grid.boundary import outer_boundary
 from repro.grid.connectivity import (
     connected_components,
     is_connected,
     locally_connected_after,
 )
-from repro.grid.envelope import enclosed_area
 from repro.grid.geometry import Cell, chebyshev
 from repro.grid.occupancy import SwarmState
 
@@ -111,21 +109,6 @@ class GatherResult:
         """Normalized runtime ``rounds / n`` — constant iff runtime is
         linear, the quantity experiment E1 tracks."""
         return self.rounds / max(self.robots_initial, 1)
-
-    @classmethod
-    def from_run_result(cls, result) -> "GatherResult":
-        """Repackage a facade :class:`~repro.engine.protocols.RunResult`
-        (same metrics/events/state objects — used by the legacy entry-
-        point shims)."""
-        return cls(
-            gathered=result.gathered,
-            rounds=result.rounds,
-            robots_initial=result.robots_initial,
-            robots_final=result.robots_final,
-            metrics=result.metrics,
-            events=result.events,
-            final_state=result.final_state,
-        )
 
 
 class TokenLedger:
@@ -229,9 +212,6 @@ class RoundEngine:
         every round (used by the equivalence tests; the observable
         behavior is identical either way, because the certificate only
         decides whether the BFS runs).
-    track_boundary:
-        Also record outer-boundary length and enclosed area per round
-        (costs one boundary trace per round; used by figures/ablations).
     on_round:
         Optional callback ``(round_index, state)`` after each round —
         used by the visualizers to capture frames.
@@ -247,7 +227,6 @@ class RoundEngine:
         seed: int = 0,
         check_connectivity: bool = True,
         incremental_connectivity: bool = True,
-        track_boundary: bool = False,
         gather_square: int = 2,
         on_round: Optional[Callable[[int, SwarmState], None]] = None,
     ) -> None:
@@ -274,7 +253,6 @@ class RoundEngine:
         self.seed = int(seed)
         self.check_connectivity = check_connectivity
         self.incremental_connectivity = incremental_connectivity
-        self.track_boundary = track_boundary
         self.gather_square = gather_square
         self.on_round = on_round
         self.metrics = MetricsLog()
@@ -600,20 +578,12 @@ class RoundEngine:
                     if t in cell_of and due > r
                 }
 
-        boundary_len: Optional[int] = None
-        area: Optional[float] = None
-        if self.track_boundary:
-            ob = outer_boundary(state)
-            boundary_len = len(ob.sides)
-            area = enclosed_area(ob)
         self.metrics.record(
             RoundMetrics(
                 round_index=r,
                 robots=len(state),
                 merged=merged,
                 diameter=state.diameter_chebyshev(),
-                boundary_length=boundary_len,
-                enclosed_area=area,
                 active_runs=getattr(controller, "active_run_count", None),
             )
         )

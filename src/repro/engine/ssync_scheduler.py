@@ -12,7 +12,9 @@ rounds.
 
 This module is the activation layer of that model (the registry entries
 ``ssync`` / ``ssync-faulty`` / ``async-lcm`` live in :mod:`repro.api`,
-the round loop in :mod:`repro.engine.scheduler`):
+the grid round loop in :mod:`repro.engine.scheduler`, and the stepped
+loop of the self-clocked Euclidean and chain baselines in
+:func:`repro.api._drive_stepped`; both loops drive the same schedule):
 
 * activation policies (:data:`ACTIVATION_POLICIES`) — ``uniform``
   (independent coin with probability ``p`` per robot-round),
@@ -25,10 +27,7 @@ the round loop in :mod:`repro.engine.scheduler`):
 * :class:`ActivationSchedule` — policy + k-fairness enforcement + fault
   injection (:class:`repro.engine.faults.FaultInjector`), tracking
   per-robot activation streaks and crash state across token renames
-  (merges).  Emits the ``activation`` / ``fault`` events;
-* :func:`drive_stepped_ssync` — the SSYNC loop for self-clocked
-  programs (Euclidean go-to-center, the chain gatherers) that expose the
-  ``ssync_roster`` / ``ssync_step`` surface.
+  (merges).  Emits the ``activation`` / ``fault`` events.
 
 With activation probability 1.0 and no faults every robot is activated
 every round without a roster or a set being built, and the grid round
@@ -58,7 +57,6 @@ from typing import (
 
 from repro.engine.events import EventLog
 from repro.engine.faults import FaultInjector
-from repro.engine.metrics import MetricsLog
 
 
 # ----------------------------------------------------------------------
@@ -410,81 +408,3 @@ class ActivationSchedule:
             new_streak = {t: s for t, s in new_streak.items() if t in alive}
             crashed &= alive
         self._streak = new_streak
-
-
-# ----------------------------------------------------------------------
-# SSYNC over self-clocked programs (Euclidean, chains)
-# ----------------------------------------------------------------------
-def drive_stepped_ssync(
-    program: Any,
-    schedule: ActivationSchedule,
-    ctx: Any,
-    scheduler_key: str,
-):
-    """Drive an :class:`~repro.engine.protocols.SsyncSteppable` program
-    (Euclidean go-to-center, the chain gatherers) under the schedule.
-
-    Mirrors the FSYNC adapter's stepped loop, but each round asks the
-    program for its roster of stable robot tokens, selects the activated
-    subset, and hands it to ``ssync_step``.  Returns a facade
-    ``RunResult`` (imported lazily to keep the engine layer free of the
-    registry module at import time).
-    """
-    from repro.engine.protocols import RunResult
-
-    metrics = MetricsLog()
-    events = EventLog()
-    schedule.events = events
-    budget = (
-        ctx.max_rounds
-        if ctx.max_rounds is not None
-        else program.default_budget()
-    )
-    rounds = 0
-    activations = 0
-    done = program.done()
-    # Adversarial-policy hints: stepped programs have no run manager, so
-    # the progress carriers are "whoever moved last round", computed from
-    # the per-token positions (roster order matches view() order for
-    # every stepped program).
-    moved_last: frozenset = frozenset()
-    while not done and rounds < budget:
-        roster = list(program.ssync_roster())
-        positions = dict(zip(roster, program.view().cells))
-        active = schedule.select(rounds, roster, hints=moved_last)
-        activations += len(active)
-        remap = program.ssync_step(rounds, active, metrics, events)
-        after = list(program.ssync_roster())
-        after_positions = dict(zip(after, program.view().cells))
-        moved_last = frozenset(
-            t
-            for t in after
-            if t not in positions or positions[t] != after_positions[t]
-        )
-        schedule.commit(active, remap=remap, survivors=after)
-        if ctx.on_round is not None:
-            ctx.on_round(rounds, program.view())
-        rounds += 1
-        done = program.done()
-    fields = program.result_fields()
-    robots_final = fields.pop("robots_final")
-    final_state = fields.pop("final_state")
-    events.emit(
-        rounds,
-        "gathered" if done else "budget_exhausted",
-        rounds=rounds,
-        robots=robots_final,
-    )
-    return RunResult(
-        strategy="",
-        scheduler=scheduler_key,
-        gathered=done,
-        rounds=rounds,
-        robots_initial=program.robots_initial,
-        robots_final=robots_final,
-        metrics=metrics,
-        events=events,
-        final_state=final_state,
-        activations=activations,
-        extras=fields,
-    )

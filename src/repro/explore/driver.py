@@ -182,7 +182,10 @@ class StateDag:
 
     def counts(self) -> Dict[str, int]:
         """Node count per status, plus totals."""
-        out: Dict[str, int] = {"total": len(self.nodes), "edges": self.edge_count}
+        out: Dict[str, int] = {
+            "total": len(self.nodes),
+            "edges": self.edge_count,
+        }
         for node in self.nodes.values():
             out[node.status] = out.get(node.status, 0) + 1
         return out

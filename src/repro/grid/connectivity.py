@@ -188,9 +188,8 @@ def articulation_cells(cells: Iterable[Cell]) -> Set[Cell]:
                         root_children += 1
                     index[nb] = low[nb] = counter
                     counter += 1
-                    stack.append(
-                        (nb, iter([m for m in neighbors4(nb) if m in cell_set]))
-                    )
+                    nbs = [m for m in neighbors4(nb) if m in cell_set]
+                    stack.append((nb, iter(nbs)))
                     advanced = True
                     break
                 elif parent.get(cell) != nb:

@@ -13,7 +13,9 @@ from typing import Iterable, List
 from repro.grid.geometry import Cell, bounding_box
 
 
-def to_text(cells: Iterable[Cell], occupied: str = "#", free: str = ".") -> str:
+def to_text(
+    cells: Iterable[Cell], occupied: str = "#", free: str = "."
+) -> str:
     """Render cells as text art (top row = max y)."""
     cell_set = set(cells)
     if not cell_set:

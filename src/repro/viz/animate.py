@@ -48,7 +48,9 @@ class FrameRecorder:
             parts.append(render(frame))
         return "\n".join(parts)
 
-    def to_svg(self, *, cell_px: float = 8.0, columns: int = 4, limit: int = 12):
+    def to_svg(
+        self, *, cell_px: float = 8.0, columns: int = 4, limit: int = 12
+    ):
         """Render up to ``limit`` frames as one SVG contact sheet.
 
         Frames are laid out in a grid of ``columns`` panels, each labeled

@@ -155,7 +155,9 @@ def _fig6() -> str:
 def _fig7() -> str:
     cells = ring(8)
     state = SwarmState(cells)
-    sites = run_start_sites(extract_boundaries(state), _CFG.start_straight_steps)
+    sites = run_start_sites(
+        extract_boundaries(state), _CFG.start_straight_steps
+    )
     marks = {}
     for s in sites:
         marks[s.robot] = "S" if s.robot not in marks else "B"  # B = Start-B
@@ -230,7 +232,9 @@ def _fig11() -> str:
 def _fig12() -> str:
     cells = ring(12)
     state = SwarmState(cells)
-    sites = run_start_sites(extract_boundaries(state), _CFG.start_straight_steps)
+    sites = run_start_sites(
+        extract_boundaries(state), _CFG.start_straight_steps
+    )
     top = max(c[1] for c in cells)
     pair = [s for s in sites if s.robot[1] == top]
     marks = {s.robot: "G" for s in pair}
@@ -321,7 +325,8 @@ def _fig18() -> str:
     return (
         "Figure 18 — vector chain along the outer boundary; decomposition\n"
         f"into longest x-monotone subchains: {len(subs)} subchains over "
-        f"{len(chain)} vectors\n(ranges {subs[:6]}{'...' if len(subs) > 6 else ''}).\n"
+        f"{len(chain)} vectors\n(ranges {subs[:6]}"
+        f"{'...' if len(subs) > 6 else ''}).\n"
         + render(cells)
     )
 

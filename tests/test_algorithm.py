@@ -130,7 +130,9 @@ class TestInvariantsDuringGathering:
             on_round=lambda i, s: boxes.append(s.bounding_box()),
         )
         engine.run(max_rounds=400)
-        for (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) in zip(boxes, boxes[1:]):
+        for a, b in zip(boxes, boxes[1:]):
+            ax0, ay0, ax1, ay1 = a
+            bx0, by0, bx1, by1 = b
             assert bx0 >= ax0 and by0 >= ay0
             assert bx1 <= ax1 and by1 <= ay1
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.baselines.closed_chain import (
-    ClosedChainGatherer,
-    gather_closed_chain,
-    rectangle_chain,
-)
+from repro.api import simulate
+from repro.baselines.closed_chain import ClosedChainGatherer, rectangle_chain
 from repro.grid.geometry import chebyshev
+
+
+def gather_chain(chain, *, seed):
+    return simulate(chain, strategy="closed_chain", seed=seed)
 
 
 class TestConstruction:
@@ -33,12 +34,12 @@ class TestConstruction:
 
 class TestGathering:
     def test_small_rectangle_gathers(self):
-        r = gather_closed_chain(rectangle_chain(5, 5), seed=1)
+        r = gather_chain(rectangle_chain(5, 5), seed=1)
         assert r.gathered
         assert r.robots_final >= 3  # the chain structure never drops below 3
 
     def test_bigger_rectangle_gathers(self):
-        r = gather_closed_chain(rectangle_chain(12, 8), seed=2)
+        r = gather_chain(rectangle_chain(12, 8), seed=2)
         assert r.gathered
 
     def test_links_never_break(self):
@@ -63,15 +64,15 @@ class TestGathering:
         assert g.is_gathered()
 
     def test_seed_determinism(self):
-        a = gather_closed_chain(rectangle_chain(9, 7), seed=11)
-        b = gather_closed_chain(rectangle_chain(9, 7), seed=11)
+        a = gather_chain(rectangle_chain(9, 7), seed=11)
+        b = gather_chain(rectangle_chain(9, 7), seed=11)
         assert a.rounds == b.rounds and a.robots_final == b.robots_final
 
     def test_roughly_linear_rounds(self):
         """[ACLF+16]'s O(n) regime, here in expectation (randomized
         symmetry breaking): quadrupling n must not blow up rounds
         super-linearly beyond noise."""
-        small = gather_closed_chain(rectangle_chain(8, 8), seed=5)
-        big = gather_closed_chain(rectangle_chain(16, 16), seed=5)
+        small = gather_chain(rectangle_chain(8, 8), seed=5)
+        big = gather_chain(rectangle_chain(16, 16), seed=5)
         assert small.gathered and big.gathered
         assert big.rounds <= 8 * max(small.rounds, 1)

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from repro.api import simulate
 from repro.baselines.euclidean import (
     EuclideanSwarm,
     GoToCenterGatherer,
-    gather_euclidean,
     smallest_enclosing_circle,
 )
 
@@ -80,12 +80,14 @@ class TestGoToCenter:
         assert swarm.diameter() < d0
 
     def test_line_gathers(self):
-        r = gather_euclidean([(0.9 * i, 0.0) for i in range(10)])
+        r = simulate(
+            [(0.9 * i, 0.0) for i in range(10)], strategy="euclidean"
+        )
         assert r.gathered
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            gather_euclidean([(0, 0), (10, 0)])
+            simulate([(0, 0), (10, 0)], strategy="euclidean")
 
     def test_quadratic_on_circles(self):
         """The [DKL+11] worst-case family: rounds/n^2 roughly constant."""
@@ -99,14 +101,17 @@ class TestGoToCenter:
                 )
                 for i in range(n)
             ]
-            res = gather_euclidean(pts)
+            res = simulate(pts, strategy="euclidean")
             assert res.gathered
             ratios.append(res.rounds / n**2)
         assert ratios[1] == pytest.approx(ratios[0], rel=0.5)
 
     def test_record_diameter_series(self):
-        r = gather_euclidean(
-            [(0.9 * i, 0.0) for i in range(8)], record_diameter=True
+        r = simulate(
+            [(0.9 * i, 0.0) for i in range(8)],
+            strategy="euclidean",
+            record_diameter=True,
         )
-        assert len(r.diameters) == r.rounds
-        assert all(a >= b - 1e-9 for a, b in zip(r.diameters, r.diameters[1:]))
+        diameters = r.extras["diameters"]
+        assert len(diameters) == r.rounds
+        assert all(a >= b - 1e-9 for a, b in zip(diameters, diameters[1:]))

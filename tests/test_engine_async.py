@@ -28,14 +28,18 @@ class TestAsyncEngine:
             AsyncEngine(SwarmState([]), StayController())
 
     def test_stay_runs_out_budget(self):
-        eng = AsyncEngine(SwarmState([(i, 0) for i in range(5)]), StayController())
+        eng = AsyncEngine(
+            SwarmState([(i, 0) for i in range(5)]), StayController()
+        )
         result = eng.run(max_rounds=4)
         assert not result.gathered
         assert result.rounds == 4
         assert result.activations == 0
 
     def test_leaf_merging_gathers_line(self):
-        eng = AsyncEngine(SwarmState([(i, 0) for i in range(10)]), LeafMerger())
+        eng = AsyncEngine(
+            SwarmState([(i, 0) for i in range(10)]), LeafMerger()
+        )
         result = eng.run()
         assert result.gathered
         assert result.robots_final <= 2
@@ -44,7 +48,9 @@ class TestAsyncEngine:
         # per round each robot is activated at most once, so a 10-line needs
         # several rounds (leaves merge from both ends; later robots see the
         # updated state within the same round)
-        eng = AsyncEngine(SwarmState([(i, 0) for i in range(10)]), LeafMerger())
+        eng = AsyncEngine(
+            SwarmState([(i, 0) for i in range(10)]), LeafMerger()
+        )
         result = eng.run()
         assert result.rounds >= 2
 
@@ -140,7 +146,13 @@ class TestIncrementalConnectivity:
                 for m in r.metrics
             ]
             results.append(
-                (r.gathered, r.rounds, r.activations, series, eng.state.frozen())
+                (
+                    r.gathered,
+                    r.rounds,
+                    r.activations,
+                    series,
+                    eng.state.frozen(),
+                )
             )
         return results
 

@@ -90,17 +90,6 @@ class TestStep:
         assert row.robots == 2
         assert row.merged == 1
 
-    def test_track_boundary_records_area(self):
-        ctrl = StaticController()
-        eng = RoundEngine(
-            SwarmState([(0, 0), (1, 0), (2, 0)]),
-            ctrl,
-            track_boundary=True,
-        )
-        eng.step()
-        assert eng.metrics[0].boundary_length == 8
-        assert eng.metrics[0].enclosed_area == pytest.approx(3.0)
-
     def test_on_round_callback(self):
         seen = []
         eng = RoundEngine(

@@ -108,7 +108,7 @@ class TestMetricsLog:
         log = MetricsLog()
         log.record(RoundMetrics(0, 10, 0, 5))
         log.record(RoundMetrics(1, 8, 2, 5))
-        log.record(RoundMetrics(2, 8, 0, 4, boundary_length=12))
+        log.record(RoundMetrics(2, 8, 0, 4, active_runs=12))
         return log
 
     def test_series(self):
@@ -117,7 +117,7 @@ class TestMetricsLog:
 
     def test_series_with_missing(self):
         log = self._make()
-        s = log.series("boundary_length")
+        s = log.series("active_runs")
         assert np.isnan(s[0]) and s[2] == 12
 
     def test_totals(self):

@@ -47,7 +47,9 @@ ALL_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("name,cells", ALL_SHAPES, ids=[s[0] for s in ALL_SHAPES])
+@pytest.mark.parametrize(
+    "name,cells", ALL_SHAPES, ids=[s[0] for s in ALL_SHAPES]
+)
 def test_every_family_gathers_with_connectivity(name, cells):
     result = gather(cells, check_connectivity=True)
     assert result.gathered, f"{name} did not gather in the linear budget"

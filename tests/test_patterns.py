@@ -49,7 +49,10 @@ class TestLeafMerge:
     def test_leaf_canceled_when_target_moves(self):
         # leaf (0,1) attached to (0,0) which is itself a bump mover hopping
         # onto the leaf... construct: vertical pair on a supported row
-        cells = [(0, 1), (0, 0), (1, 0), (0, -1), (1, -1), (-1, -1), (2, -1), (-1, 0)]
+        cells = [
+            (0, 1), (0, 0), (1, 0), (0, -1),
+            (1, -1), (-1, -1), (2, -1), (-1, 0),
+        ]
         state = SwarmState(cells)
         moves, pats = plan_merges(state, CFG)
         # no swap: applying never increases robot count and keeps connectivity
@@ -64,7 +67,9 @@ class TestCornerMerge:
         # L-corner with occupied diagonal, padded so no bump eats it first:
         #   # #
         #   c #   c at (0,0), diagonal (1,1) occupied
-        cells = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 2), (2, 2)]
+        cells = [
+            (0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 2), (2, 2),
+        ]
         # (0,0): neighbors (1,0),(0,1) perpendicular, diag (1,1) occupied
         state = SwarmState(cells)
         moves, _ = plan_merges(state, CFG)
@@ -72,8 +77,12 @@ class TestCornerMerge:
             assert moves[(0, 0)] == (1, 1)
 
     def test_corner_disabled_by_config(self):
-        cfg = AlgorithmConfig(enable_corner_merges=False, enable_bump_merges=False)
-        cells = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (0, 1)]
+        cfg = AlgorithmConfig(
+            enable_corner_merges=False, enable_bump_merges=False
+        )
+        cells = [
+            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (0, 1),
+        ]
         moves, pats = plan_merges(SwarmState(cells), cfg)
         assert all(p.kind == "leaf" for p in pats)
 
@@ -199,7 +208,9 @@ class TestRegressions:
         """Hypothesis-found counterexample: the corner robot at (-1, 0) is a
         support of the column bump hopping west; letting it corner-merge
         away strands the landed robots.  It must be frozen."""
-        cells = [(-3, -1), (-2, -1), (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1)]
+        cells = [
+            (-3, -1), (-2, -1), (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1),
+        ]
         state = SwarmState(cells)
         moves, _ = plan_merges(state, CFG)
         assert (-1, 0) not in moves
@@ -215,7 +226,12 @@ class TestLocalDecision:
         [(x, 0) for x in range(9)],
         [(x, 1) for x in range(3)] + [(x, 0) for x in range(-1, 4)],
         [(0, 0), (1, 0), (2, 0), (1, 1)],
-        [(x, y) for x in range(6) for y in range(6) if x in (0, 5) or y in (0, 5)],
+        [
+            (x, y)
+            for x in range(6)
+            for y in range(6)
+            if x in (0, 5) or y in (0, 5)
+        ],
     ]
 
     @pytest.mark.parametrize("shape", SHAPES)

@@ -54,7 +54,8 @@ def test_run_lifetimes_bounded_by_n(ring12):
     """Lemma 2a: a run leads to its merge within at most ~n rounds."""
     result = gather(ring12, CFG)
     audit = audit_result(result, CFG)
-    assert audit.max_run_lifetime <= result.robots_initial + CFG.run_start_interval
+    bound = result.robots_initial + CFG.run_start_interval
+    assert audit.max_run_lifetime <= bound
 
 
 def test_all_started_runs_eventually_stop():

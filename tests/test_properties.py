@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.progress import find_progress_sites, is_mergeless
+from repro.api import simulate
 from repro.core.algorithm import GatherOnGrid, gather
 from repro.core.config import AlgorithmConfig
 from repro.core.patterns import merge_move_for, plan_merges
@@ -128,9 +129,9 @@ def test_mergeless_swarms_offer_progress(cells):
     seed=st.integers(min_value=0, max_value=1000),
 )
 def test_async_baseline_gathers(n, seed):
-    from repro.baselines.async_greedy import gather_async
-
-    result = gather_async(random_blob(n, seed), seed=seed)
+    result = simulate(
+        random_blob(n, seed), strategy="async_greedy", seed=seed
+    )
     assert result.gathered
 
 

@@ -57,7 +57,10 @@ class TestQuasiLineDef:
         assert not is_quasi_line(chain, "h")
 
     def test_short_horizontal_run_violates(self):
-        chain = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4)]
+        chain = [
+            (0, 0), (1, 0), (1, 1), (2, 1), (2, 2),
+            (3, 2), (3, 3), (4, 3), (4, 4), (5, 4),
+        ]
         assert not is_quasi_line(chain, "h")
 
     def test_too_short(self):

@@ -166,7 +166,8 @@ class TestNodeStability:
 
 class TestRobotCycleNavigation:
     def test_robots_cycle_matches_collapse(self):
-        for cells in (ring(7), solid_rectangle(4, 2), [(i, 0) for i in range(5)]):
+        line5 = [(i, 0) for i in range(5)]
+        for cells in (ring(7), solid_rectangle(4, 2), line5):
             rs = RingSet.from_cells(set(cells))
             for rg, b in zip(rs.rings, extract_boundaries(set(cells))):
                 assert rg.robots_cycle() == b.robots

@@ -22,8 +22,8 @@ Rule families (catalogue + rationale in ``docs/lint.md``):
 * **P1** — the per-run planner's purity contract: ``_plan_one`` and
   everything it transitively calls within ``core/`` must not write to
   ``self``, globals, or its shared-context arguments.
-* **F1** — facade discipline: no imports of the legacy per-baseline
-  entry points outside the shim surface, and every registered scheduler
+* **F1** — facade discipline: no imports of the legacy ``gather`` entry
+  point outside the shim surface, and every registered scheduler
   declares ``option_names``.
 * **E1** — the event-kind tables in ``docs/schedulers.md`` and the
   kinds actually emitted by the engines must match exactly.

@@ -356,8 +356,8 @@ class UnorderedIterationRule(FileRule):
     into observable behavior.  CPython's int hashing keeps this stable
     *per build and insertion history*, which is exactly how such bugs
     pass goldens on CI and explode later (alternate interpreters, cell
-    types with randomized hashes, differently-ordered insertions).  Wrap the iterable in ``sorted()`` or consume it
-    order-insensitively.
+    types with randomized hashes, differently-ordered insertions).  Wrap
+    the iterable in ``sorted()`` or consume it order-insensitively.
 
     Detection is syntactic plus a one-pass local dataflow: set
     literals/comprehensions, ``set()``/``frozenset()`` calls,

@@ -1,12 +1,11 @@
 """F1 — facade discipline.
 
-PR 3 made ``repro.api.simulate`` the one simulation entry point; the
-legacy per-baseline functions survive only as deprecation shims.  Two
-checks keep the facade honest:
+``repro.api.simulate`` is the one simulation entry point; only
+``gather``, the quickstart spelling of ``simulate()``, survives of the
+per-workload entry points.  Two checks keep the facade honest:
 
-* no imports of the legacy entry points outside the shim surface
-  (``baselines/``, the package re-export ``__init__``s, and the module
-  that defines ``gather``) — new code must go through ``simulate()``;
+* no imports of ``gather`` outside the shim surface (the package
+  re-export ``__init__``s) — new code must go through ``simulate()``;
 * every ``@register_scheduler`` class declares ``option_names`` (the
   facade validates leftover keyword options against it; a scheduler
   without the declaration silently swallows typos).
@@ -20,28 +19,17 @@ from typing import List, Sequence
 from tools.reprolint.engine import FileRule, Finding, SourceFile
 
 #: The per-workload entry points superseded by ``repro.api.simulate``.
-LEGACY_ENTRY_POINTS = frozenset(
-    {
-        "gather",
-        "gather_async",
-        "gather_euclidean",
-        "gather_global",
-        "gather_global_with_moves",
-        "shorten_chain",
-        "gather_closed_chain",
-    }
-)
+LEGACY_ENTRY_POINTS = frozenset({"gather"})
 
 #: The shim surface: files allowed to import/re-export legacy entries.
 _DEFAULT_SHIM_FILES = (
     "src/repro/__init__.py",
     "src/repro/core/__init__.py",
 )
-_DEFAULT_SHIM_PREFIXES = ("src/repro/baselines/",)
 
 
 class LegacyEntryPointRule(FileRule):
-    """F1: legacy per-baseline entry points stay behind the facade."""
+    """F1: legacy entry points stay behind the facade."""
 
     rule_id = "F1"
     title = "legacy entry-point import outside the shim surface"
@@ -49,17 +37,13 @@ class LegacyEntryPointRule(FileRule):
     def __init__(
         self,
         shim_files: Sequence[str] = _DEFAULT_SHIM_FILES,
-        shim_prefixes: Sequence[str] = _DEFAULT_SHIM_PREFIXES,
         legacy: frozenset = LEGACY_ENTRY_POINTS,
     ) -> None:
         self.shim_files = tuple(shim_files)
-        self.shim_prefixes = tuple(shim_prefixes)
         self.legacy = legacy
 
     def applies(self, rel: str) -> bool:
-        if rel in self.shim_files:
-            return False
-        return not rel.startswith(self.shim_prefixes)
+        return rel not in self.shim_files
 
     def check_file(self, sf: SourceFile) -> List[Finding]:
         out: List[Finding] = []
