@@ -10,8 +10,6 @@ E7 — merge operation length k (paper Fig. 2): longer local merges buy
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.analysis.tables import format_table
 from repro.api import simulate

@@ -50,6 +50,13 @@ class GatherOnGrid:
     def plan_round(
         self, state: SwarmState, round_index: int
     ) -> Mapping[Cell, Cell]:
+        """The moves of every robot this round (source -> target).
+
+        Rounds with no live run and no due start plan merges alone and
+        leave the contours unread, so in incremental mode
+        ``self._pipeline.ring_set`` is current only after the pipeline's
+        ``contours()`` or ``start_sites()`` repaired it.
+        """
         cfg = self.cfg
         occupied = state.cells
         pipeline = self._pipeline
@@ -57,12 +64,31 @@ class GatherOnGrid:
         # Step 1: merge operations (state-free).
         if pipeline is not None:
             merge_moves, _ = pipeline.plan_merges(state)
+        else:
+            merge_moves, _ = plan_merges(state, cfg)
+
+        if not cfg.enable_runs:
+            return merge_moves
+
+        # Step 3 (checked before acting so fresh runs reshape this same
+        # round, like the paper's start hop): start new runs every L rounds.
+        starts_due = round_index % cfg.run_start_interval == 0 and (
+            cfg.pipelining or round_index == 0
+        )
+        if not starts_due and not self.run_manager.runs:
+            # Only runs read the contours: with none live and none due,
+            # steps 2 and 3 are no-ops, so the rings stay unrepaired
+            # (the pipeline catches up on the next read).
+            return merge_moves
+
+        if pipeline is not None:
+            contours = pipeline.contours(state)
             # Audit trail of the incremental boundary maintenance: one
-            # event per round listing every spliced/re-traced arc as a
-            # ``(cycle_id, arc_sides, removed_sides)`` triple (cycle id
-            # -1 = full-rebuild fallback).  Diagnostic only — excluded
-            # from the trajectory digests, since full-rescan mode does
-            # no splicing.
+            # event per ring repair listing every spliced/re-traced arc
+            # as a ``(cycle_id, arc_sides, removed_sides)`` triple
+            # (cycle id -1 = full-rebuild fallback).  Diagnostic only —
+            # excluded from the trajectory digests, since full-rescan
+            # mode does no splicing.
             resplices = pipeline.take_resplices()
             if resplices:
                 self.events.emit(
@@ -71,23 +97,9 @@ class GatherOnGrid:
                     arcs=[list(r) for r in resplices],
                 )
         else:
-            merge_moves, _ = plan_merges(state, cfg)
-
-        if not cfg.enable_runs:
-            return merge_moves
-
-        contours = (
-            pipeline.contours(state)
-            if pipeline is not None
-            else RingSet.from_cells(occupied)
-        )
+            contours = RingSet.from_cells(occupied)
         located, lost = self.run_manager.locate(contours)
 
-        # Step 3 (checked before acting so fresh runs reshape this same
-        # round, like the paper's start hop): start new runs every L rounds.
-        starts_due = round_index % cfg.run_start_interval == 0 and (
-            cfg.pipelining or round_index == 0
-        )
         if starts_due:
             # Incremental mode reads the persistent start-site index
             # (repaired per splice); full-rescan mode walks the contours.

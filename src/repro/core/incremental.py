@@ -8,19 +8,22 @@ region*: the cells whose occupancy flipped in the last round plus their
 8-neighborhoods, as recorded by
 :meth:`repro.grid.occupancy.SwarmState.apply_moves`.
 
-**What "dirty" means.**  A cell is dirty for a round iff some cell within
-Chebyshev distance 1 of it changed occupancy when the previous round's
-moves were applied.  Every predicate the pipeline caches (contour side
-successors, bump-run membership and free sides, leaf/corner arity) reads
-only cells within Chebyshev distance 1 of its anchor cell — or, for bump
-rows/columns, only the three-line band around its line — so a cached value
-whose anchor is not dirty is still exact.  See ``docs/incremental.md`` for
-the invariant catalogue and the equality argument.
+**What "dirty" means.**  A cell is dirty for a cache iff some cell within
+Chebyshev distance 1 of it changed occupancy since that cache was last
+repaired: the previous round's moves for the merge cache, the net change
+since the last ring repair for the rings.  Every predicate the pipeline
+caches (contour side successors, bump-run membership and free sides,
+leaf/corner arity) reads only cells within Chebyshev distance 1 of its
+anchor cell — or, for bump rows/columns, only the three-line band around
+its line — so a cached value whose anchor is not dirty is still exact.
+See ``docs/incremental.md`` for the invariant catalogue and the equality
+argument.
 
 **Boundaries are persistent linked rings.**  Contours live in a
-:class:`repro.grid.ring.RingSet`: each round, only the *dirty arcs* of
-affected rings are re-traced and spliced in place (O(dirty arc)), instead
-of rebuilding whole ``Boundary`` tuples per changed cycle (O(contour)).
+:class:`repro.grid.ring.RingSet`: on each repair, only the *dirty arcs*
+of affected rings are re-traced and spliced in place (O(dirty arc)),
+instead of rebuilding whole ``Boundary`` tuples per changed cycle
+(O(contour)).
 Ring consumers (run location, run planning, start sites) navigate stable
 :class:`~repro.grid.ring.RingNode` references; the frozen-tuple
 ``Boundary`` remains available through ``to_boundary()`` for analysis and
@@ -34,6 +37,18 @@ order-insensitive or consumes canonically ordered input, so trajectories
 — ``tests/test_incremental_equivalence.py`` asserts this against golden
 traces captured from the seed implementation.
 
+**Rings are repaired on demand.**  Merges are state-free local
+patterns, so only a live run or a due run start reads the contours.  The
+merge cache is synced every round; the ring set only when
+:meth:`IncrementalPipeline.contours` or
+:meth:`IncrementalPipeline.start_sites` asks for it.  Until then the
+pipeline accumulates the net change since the last repair (the XOR of
+each round's ``last_changed``: a cell that flipped twice is back where
+it was) and applies it in one ``RingSet.update``, whose staleness and
+seed-completeness arguments hold for any net change between two
+occupancies.  So ``pipeline.ring_set`` is current only right after one
+of those two calls.
+
 The pipeline keys its validity on ``SwarmState.version``: it applies the
 ``last_changed`` delta when the state advanced by exactly one
 ``apply_moves`` since the last sync, and falls back to a full rebuild on
@@ -44,7 +59,7 @@ any other history (fresh state, replays, external mutation of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import AlgorithmConfig
 from repro.core.patterns import MergeCache, MergePattern
@@ -71,18 +86,22 @@ class IncrementalPipeline:
         # could be reused by a new SwarmState and alias stale caches.
         self._state: Optional[SwarmState] = None
         self._version: Optional[int] = None
+        # Cells whose occupancy differs from the one the rings were last
+        # repaired to; None means the rings must be rebuilt.
+        self._ring_delta: Optional[Set[Cell]] = None
 
     # ------------------------------------------------------------------
     def _sync(self, state: SwarmState) -> None:
-        """Bring the caches up to date with ``state``.
+        """Bring the merge cache up to date with ``state`` and fold the
+        round's change into the pending ring delta.
 
         Delta path: same state object, version advanced by exactly one
         ``apply_moves`` — consume ``state.last_changed``.  Anything else
-        (first use, a different state, a version jump) rebuilds fully.
+        (first use, a different state, a version jump) rebuilds the
+        merge cache and marks the rings for a rebuild.
         """
         if self._state is state and self._version == state.version:
             return  # already synced this round
-        cells = state.cells
         if (
             self._state is state
             and self._version is not None
@@ -90,10 +109,11 @@ class IncrementalPipeline:
         ):
             changed = state.last_changed
             self.merge_cache.update(state, changed)
-            self.ring_set.update(cells, changed, rows=state.rows())
+            if self._ring_delta is not None:
+                self._ring_delta ^= changed
         else:
             self.merge_cache.rebuild(state)
-            self.ring_set.rebuild(cells)
+            self._ring_delta = None
         self._state = state
         self._version = state.version
 
@@ -107,21 +127,30 @@ class IncrementalPipeline:
 
     def contours(self, state: SwarmState) -> RingSet:
         """The maintained linked-ring contours of ``state`` (replaces the
-        per-round :func:`repro.grid.boundary.extract_boundaries` call)."""
+        per-round :func:`repro.grid.boundary.extract_boundaries` call):
+        the net change since the last repair is applied in one update,
+        or the rings are rebuilt when the history is unknown."""
         self._sync(state)
+        if self._ring_delta is None:
+            self.ring_set.rebuild(state.cells)
+            self._ring_delta = set()
+        elif self._ring_delta:
+            self.ring_set.update(
+                state.cells, self._ring_delta, rows=state.rows()
+            )
+            self._ring_delta = set()
         return self.ring_set
 
     def start_sites(self, state: SwarmState) -> List[StartSite]:
         """Run start sites from the persistent index — bit-identical
         admissions to :func:`repro.core.quasiline.run_start_sites` over
         the same contours, without the per-start-round contour walk."""
-        self._sync(state)
-        return self.site_index.sites(self.ring_set)
+        return self.site_index.sites(self.contours(state))
 
     def take_resplices(self) -> List[Tuple[int, int, int]]:
         """Drain the ``(ring_id, arc_sides, removed_sides)`` records of
-        the incremental boundary work since the last drain (for the
-        controller's ``boundary_respliced`` events)."""
+        the latest ring repair (for the controller's
+        ``boundary_respliced`` events)."""
         out = self.ring_set.last_resplices
         self.ring_set.last_resplices = []
         return out

@@ -277,11 +277,13 @@ class RingSet:
     """All boundary contours of a swarm as persistent linked rings.
 
     ``rebuild`` constructs the rings from scratch (O(total sides));
-    ``update`` repairs them in place from the round's changed cells,
-    splicing only dirty arcs (O(dirty arc) in steady state, with a full
-    rebuild fallback on contour splits/merges).  Both leave the ring list
-    in canonical order and every ring's head at its canonical start side,
-    so materialization is byte-identical to full extraction.
+    ``update`` repairs them in place from the cells whose occupancy
+    changed since the last repair (one round's or several rounds' net
+    change), splicing only dirty arcs (O(dirty arc) in steady state,
+    with a full rebuild fallback on contour splits/merges).  Both leave
+    the ring list in canonical order and every ring's head at its
+    canonical start side, so materialization is byte-identical to full
+    extraction.
 
     ``last_resplices`` records the incremental work of the latest update
     as ``(ring_id, arc_sides, removed_sides)`` triples; a full-rebuild

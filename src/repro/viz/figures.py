@@ -27,7 +27,6 @@ from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import (
     double_donut,
     ring,
-    solid_rectangle,
     staircase,
 )
 from repro.viz.ascii_art import render, render_with_marks, side_by_side

@@ -5,7 +5,6 @@ import pytest
 from repro.core.algorithm import GatherOnGrid, gather
 from repro.core.config import AlgorithmConfig
 from repro.engine.scheduler import RoundEngine
-from repro.grid.connectivity import is_connected
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import line, ring, solid_rectangle
 

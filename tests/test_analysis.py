@@ -1,6 +1,5 @@
 """Unit tests for the analysis layer: fits, sweeps, tables, progress."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_scaling, sweep

@@ -4,7 +4,6 @@ import pytest
 
 from repro.grid.geometry import (
     DIAGONALS,
-    DIRECTIONS4,
     DIRECTIONS8,
     EAST,
     NORTH,

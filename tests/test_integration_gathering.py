@@ -8,7 +8,6 @@ raises otherwise), and round counts respect a linear budget.
 import pytest
 
 from repro.core.algorithm import gather
-from repro.core.config import AlgorithmConfig
 from repro.swarms.generators import (
     comb,
     diamond_ring,

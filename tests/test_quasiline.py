@@ -11,7 +11,7 @@ from repro.core.quasiline import (
 )
 from repro.grid.boundary import extract_boundaries
 from repro.grid.occupancy import SwarmState
-from repro.swarms.generators import ring, solid_rectangle, staircase
+from repro.swarms.generators import ring, solid_rectangle
 
 
 class TestChainSegments:

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from tools.reprolint.engine import (
     Finding,

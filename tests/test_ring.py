@@ -120,6 +120,35 @@ class TestSpliceEdgeCases:
         # a structural change of this size is recorded as a fallback
         assert any(cid == -1 for cid, _, _ in rs.last_resplices)
 
+    def test_hole_opens_and_closes_within_one_repair(self):
+        """One update may cover several rounds: it gets their net
+        change, the XOR of each round's flipped cells.  A hole that
+        opened and closed again in between leaves no trace in it."""
+        cells = set(solid_rectangle(6, 6))
+        rs = RingSet.from_cells(cells)
+        net = set()
+        # the hole opens, a corner robot leaves, the hole closes
+        for flipped in ({(2, 2)}, {(0, 0)}, {(2, 2)}):
+            cells ^= flipped
+            net ^= flipped
+        assert net == {(0, 0)}
+        rs.update(cells, net)
+        assert_canonical(rs, cells)
+        assert len(rs.rings) == 1
+
+    def test_hole_moves_within_one_repair(self):
+        """A hole closes and another opens between two repairs: one
+        update drops the old hole's ring and reseeds the new one."""
+        cells = set(solid_rectangle(6, 6)) - {(2, 2)}
+        rs = RingSet.from_cells(cells)
+        net = set()
+        for flipped in ({(2, 2)}, {(3, 3)}):
+            cells ^= flipped
+            net ^= flipped
+        rs.update(cells, net)
+        assert_canonical(rs, cells)
+        assert len(rs.rings) == 2
+
     def test_no_change_is_noop(self):
         cells = set(ring(8))
         rs = RingSet.from_cells(cells)
@@ -197,25 +226,38 @@ class TestRobotCycleNavigation:
 
 
 class TestTrajectoryEquivalence:
-    @pytest.mark.parametrize("name", ["ring_48", "blob_48", "spiral_48"])
+    @pytest.mark.parametrize(
+        "name",
+        ["ring_48", "blob_48", "spiral_48", "spiral_160", "solid_900",
+         "tree_1000"],
+    )
     def test_update_tracks_engine(self, name):
+        """Repairs every k in {1, 3, 22} rounds, each given the net
+        change since its last repair (the XOR of the skipped rounds'
+        ``last_changed``), as the pipeline does when only rounds with a
+        live run or a due start read the rings."""
         from repro.swarms.generators import family
 
         fam, n = name.rsplit("_", 1)
         cells = family(fam, int(n))
-        rs = RingSet.from_cells(set(cells))
+        gaps = (1, 3, 22)
+        ring_sets = {k: RingSet.from_cells(set(cells)) for k in gaps}
+        pending = {k: set() for k in gaps}
         ctrl = GatherOnGrid(AlgorithmConfig())
         eng = RoundEngine(SwarmState(cells), ctrl)
         rounds = 0
         while not eng.state.is_gathered() and rounds < 200:
             eng.step()
             rounds += 1
-            rs.update(
-                eng.state.cells,
-                eng.state.last_changed,
-                rows=eng.state.rows(),
-            )
-            assert_canonical(rs, eng.state.cells)
+            for k in gaps:
+                pending[k] ^= eng.state.last_changed
+                if rounds % k and not eng.state.is_gathered():
+                    continue
+                ring_sets[k].update(
+                    eng.state.cells, pending[k], rows=eng.state.rows()
+                )
+                pending[k] = set()
+                assert_canonical(ring_sets[k], eng.state.cells)
 
 
 class TestResplicedEvents:
@@ -235,3 +277,47 @@ class TestResplicedEvents:
 
         r = gather(ring(12), AlgorithmConfig(incremental=False))
         assert not r.events.of_kind("boundary_respliced")
+
+    def test_rings_repaired_only_in_rounds_that_read_them(self, monkeypatch):
+        """Merge-only rounds (no live run, no due start) neither repair
+        the rings nor emit ``boundary_respliced``: the repair waits for
+        the next round that reads the contours."""
+        from repro.api import simulate
+        from repro.swarms.generators import family
+
+        calls = []
+        update = RingSet.update
+
+        def spy(self, *args, **kwargs):
+            calls.append(None)
+            return update(self, *args, **kwargs)
+
+        monkeypatch.setattr(RingSet, "update", spy)
+        after_round = []
+        r = simulate(
+            family("blob", 1500),
+            on_round=lambda i, _state: after_round.append(len(calls)),
+        )
+        assert r.gathered
+        interval = AlgorithmConfig().run_start_interval
+        runs_after = [row.active_runs for row in r.metrics.rows]
+        reading = {
+            i
+            for i in range(r.rounds)
+            if i % interval == 0 or (i > 0 and runs_after[i - 1] > 0)
+        }
+        repairing = {
+            i
+            for i, n in enumerate(after_round)
+            if n > (after_round[i - 1] if i else 0)
+        }
+        respliced = {
+            e.round_index for e in r.events.of_kind("boundary_respliced")
+        }
+        assert respliced
+        # at least one repair covers several rounds' net change
+        assert any(i > 1 and i - 1 not in repairing for i in repairing)
+        assert repairing <= reading
+        assert respliced <= reading
+        # most rounds of a merge-dominated gather read no contours
+        assert len(reading) < r.rounds // 2

@@ -50,7 +50,12 @@ def assert_sites_match(idx: StartSiteIndex, rs: RingSet):
 
 
 class TestEngineDifferential:
-    """Every round of a live trajectory: index == full scan."""
+    """Every round of a live trajectory: index == full scan.
+
+    Merge-only rounds leave the pipeline's rings unrepaired, so each
+    comparison first brings them to the current state through
+    ``contours()``; reading ``pipe.ring_set`` right after a step would
+    compare an old state with itself."""
 
     @pytest.mark.parametrize(
         "fam,n", [("ring", 60), ("blob", 200), ("spiral", 160),
@@ -67,9 +72,30 @@ class TestEngineDifferential:
                 break
             eng.step()
             pipe = ctrl._pipeline
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            assert_sites_match(pipe.site_index, pipe.contours(eng.state))
             compared += 1
         assert compared > 0
+
+    @pytest.mark.parametrize("fam,n", [("blob", 200), ("solid", 144)])
+    def test_index_matches_full_scan_every_start_interval(self, fam, n):
+        """Queried only every L rounds and at the end, each query reads
+        a repair that covers several rounds' net change."""
+        ctrl = GatherOnGrid(CFG)
+        eng = RoundEngine(
+            SwarmState(family(fam, n)), ctrl, check_connectivity=False
+        )
+        pipe = ctrl._pipeline
+        compared = 0
+        while True:
+            done = eng.state.is_gathered() or eng.round_index >= 300
+            if done or eng.round_index % CFG.run_start_interval == 0:
+                rs = pipe.contours(eng.state)
+                assert_sites_match(pipe.site_index, rs)
+                compared += 1
+            if done:
+                break
+            eng.step()
+        assert compared >= 2
 
 
 class TestRingSetRepair:
@@ -133,7 +159,7 @@ class TestRingSetRepair:
                 if eng.state.is_gathered():
                     break
                 eng.step()
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            assert_sites_match(pipe.site_index, pipe.contours(eng.state))
 
     def test_short_contours_are_skipped_like_the_scan(self):
         """Contours shorter than straight_steps + 2 yield no sites in
@@ -167,7 +193,7 @@ class TestOrderLabels:
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            for ring_obj in pipe.contours(eng.state).rings:
                 # exactly one wrap-around point on the label cycle
                 assert self.descents(ring_obj) == 1
 
@@ -218,9 +244,10 @@ class TestOrderLabels:
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            rs = pipe.contours(eng.state)
+            for ring_obj in rs.rings:
                 assert self.descents(ring_obj) == 1
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            assert_sites_match(pipe.site_index, rs)
 
     def test_label_order_matches_cycle_order(self):
         """Sorting heads by the (wrap-split) label key reproduces the
@@ -234,7 +261,7 @@ class TestOrderLabels:
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            for ring_obj in pipe.contours(eng.state).rings:
                 n = len(ring_obj)
                 if n < 2:
                     continue
