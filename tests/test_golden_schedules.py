@@ -8,7 +8,8 @@ staleness, the per-round state and event hashes of small capped runs
 under the grid, tolerant and async-greedy strategies, with the
 connectivity check on and off.  It also pins the Euclidean, chain and
 closed-chain baselines under fsync and every model that accepts them
-(Euclidean coordinates hashed rounded to 6 decimals).  The determinism
+(Euclidean coordinates hashed rounded to 6 decimals), and the async
+greedy under the fair sequential scheduler.  The determinism
 tests elsewhere only compare a run with itself; these rows catch a
 change that reorders one activation, fault or staleness draw.
 """

@@ -24,7 +24,8 @@ policies, faults, byzantine robots, async-lcm staleness) over small
 swarms with a round cap, plus each run's activation and byzantine
 counters and its terminal event.  It also pins the self-clocked
 baselines (Euclidean go-to-center, open and closed chains) under fsync
-and every model that accepts them.  ``tests/test_golden_schedules.py``
+and every model that accepts them, and the async greedy under the fair
+sequential scheduler (``async``).  ``tests/test_golden_schedules.py``
 replays every row, so a change that reorders one activation, fault or
 staleness draw fails a test instead of passing the determinism checks.
 """
@@ -247,6 +248,16 @@ SCHEDULE_SCENARIOS.update(
     )
     for strategy, (fam, scenario) in STEPPED_FAMILIES.items()
     for model in sorted(STEPPED_MODELS)
+)
+#: The fair sequential scheduler, which only the async greedy accepts.
+SCHEDULE_SCENARIOS.update(
+    (
+        f"async_greedy/async/{fam}/{'conn' if check else 'noconn'}",
+        ("async_greedy", dict(scheduler="async"), SCHEDULE_FAMILIES[fam],
+         check),
+    )
+    for fam in sorted(SCHEDULE_FAMILIES)
+    for check in (True, False)
 )
 
 
