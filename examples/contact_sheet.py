@@ -8,7 +8,7 @@ import sys
 
 from repro import SwarmState, ring
 from repro.core import GatherOnGrid
-from repro.engine import RoundEngine
+from repro.engine import RoundEngine, run_engine
 from repro.viz import FrameRecorder
 
 
@@ -16,8 +16,8 @@ def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "gathering_contact_sheet.svg"
     cells = ring(18)
     recorder = FrameRecorder(every=8, max_frames=12)
-    engine = RoundEngine(SwarmState(cells), GatherOnGrid(), on_round=recorder)
-    result = engine.run()
+    engine = RoundEngine(SwarmState(cells), GatherOnGrid())
+    result = run_engine(engine, on_round=recorder)
     assert result.gathered
     recorder.to_svg(columns=4).save(out)
     print(

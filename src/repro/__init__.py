@@ -35,8 +35,6 @@ from repro.core import AlgorithmConfig, GatherOnGrid, gather
 from repro.engine import (
     AsyncEngine,
     ConnectivityViolation,
-    GatherResult,
-    NotGathered,
     RoundEngine,
     RunResult,
     Scenario,
@@ -75,8 +73,6 @@ __all__ = [
     "AsyncEngine",
     "ConnectivityViolation",
     "RoundEngine",
-    "GatherResult",
-    "NotGathered",
     "SwarmState",
     "extract_boundaries",
     "is_connected",

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional
 from repro.analysis.tables import format_table
 from repro.core.config import AlgorithmConfig
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.errors import InvariantError
 from repro.explore.driver import PlanMemo, StateDag, explore
 from repro.explore.witness import Witness, build_witness, verify_witness
@@ -57,8 +58,9 @@ def _fsync_rounds(
     from repro.trace.replay import grid_controller_class
 
     controller = grid_controller_class(strategy)(cfg)
-    engine = RoundEngine(SwarmState(list(cells)), controller)
-    result = engine.run(max_rounds=budget)
+    result = run_engine(
+        RoundEngine(SwarmState(list(cells)), controller), max_rounds=budget
+    )
     if not result.gathered:
         raise InvariantError(
             f"shape {sorted(cells)} failed to gather under FSYNC "

@@ -585,7 +585,7 @@ def _run_grid_job_checkpointed(
     """Run one grid job under a checkpointing recorder, resuming from
     the job's last trace checkpoint when one exists."""
     from repro.engine.scheduler import RoundEngine
-    from repro.engine.termination import default_round_budget
+    from repro.engine.termination import default_round_budget, run_engine
     from repro.grid.occupancy import SwarmState
     from repro.swarms.generators import family
     from repro.trace.recorder import TraceRecorder, read_resumable_trace
@@ -642,8 +642,7 @@ def _run_grid_job_checkpointed(
             every=checkpoint_every,
             resume_after=rows[-1] if mode == "a" else None,
         )
-        engine.on_round = recorder
-        result = engine.run(max_rounds=budget)
+        result = run_engine(engine, max_rounds=budget, on_round=recorder)
     return ScalingPoint(
         family=job.family,
         n=n0,

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.grid.boundary import outer_boundary
 from repro.grid.envelope import enclosed_area
 from repro.grid.occupancy import SwarmState
@@ -61,12 +62,11 @@ def track_potentials(
 
     state = SwarmState(cells)
     snap(state)
-    engine = RoundEngine(
-        state,
-        GatherOnGrid(cfg),
+    result = run_engine(
+        RoundEngine(state, GatherOnGrid(cfg)),
+        max_rounds=max_rounds,
         on_round=lambda i, s: snap(s),
     )
-    result = engine.run(max_rounds=max_rounds)
     return PotentialTrace(
         robots=robots,
         perimeter=perimeter,

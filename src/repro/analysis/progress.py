@@ -96,10 +96,11 @@ class ProgressAudit:
 
 
 def audit_result(result, cfg: AlgorithmConfig | None = None) -> ProgressAudit:
-    """Build a :class:`ProgressAudit` from a ``GatherResult``.
+    """Build a :class:`ProgressAudit` from a grid run's ``RunResult``.
 
-    ``result`` must come from :func:`repro.core.algorithm.gather` (its
-    events carry ``merge`` / ``run_start`` / ``run_stop`` records).
+    ``result`` must come from a grid-strategy run, e.g.
+    :func:`repro.core.algorithm.gather` (its events carry ``merge`` /
+    ``run_start`` / ``run_stop`` records).
     """
     cfg = cfg or AlgorithmConfig()
     L = cfg.run_start_interval

@@ -27,10 +27,12 @@ import time:
   faults — see :mod:`repro.engine.ssync_scheduler`) and ``async-lcm``
   (non-atomic look-compute-move with bounded staleness).  ``fsync``,
   ``ssync``, ``ssync-faulty`` and ``async-lcm`` drive grid-state
-  programs through the one round loop,
+  programs through the round engine,
   :class:`repro.engine.scheduler.RoundEngine`, and the self-clocked
-  Euclidean and chain baselines through the one stepped loop,
-  :func:`_drive_stepped`.
+  Euclidean and chain baselines through the stepped engine,
+  :class:`_SteppedEngine`.  Every engine, the ``async`` scheduler's
+  :class:`repro.engine.async_scheduler.AsyncEngine` included, runs in
+  the one run loop, :func:`repro.engine.termination.run_engine`.
 
 Adversarial scheduling, for example — any strategy, one keyword:
 
@@ -90,6 +92,7 @@ from repro.engine.protocols import (
 )
 from repro.engine.scheduler import RoundEngine
 from repro.engine.ssync_scheduler import ActivationSchedule, make_policy
+from repro.engine.termination import run_engine
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import family
 from repro.trace.recorder import TraceRecorder
@@ -153,77 +156,81 @@ def _span(points: Sequence[Any]) -> float:
 # ----------------------------------------------------------------------
 # Schedulers
 # ----------------------------------------------------------------------
-def _drive_stepped(
-    program: SteppedProgram,
-    ctx: SimContext,
-    scheduler_key: str,
-    schedule: Optional[ActivationSchedule] = None,
-) -> RunResult:
-    """Run a self-clocked program (the Euclidean and chain baselines)
-    round by round: FSYNC without a schedule, SSYNC / async-lcm at
-    Δ = 0 with one.
+class _SteppedEngine:
+    """A self-clocked program (the Euclidean and chain baselines) as an
+    engine of :func:`run_engine`: FSYNC without a schedule, SSYNC /
+    async-lcm at Δ = 0 with one.
 
-    Without a schedule every robot acts: the loop builds no roster and
-    no hints, emits no ``activation`` events and reports no
+    Without a schedule every robot acts: a round builds no roster and
+    no hints, emits no ``activation`` events and counts no
     activations.  With one, each round selects the active subset of the
     program's roster of stable robot tokens."""
-    metrics = MetricsLog()
-    events = EventLog()
-    budget = (
-        ctx.max_rounds if ctx.max_rounds is not None
-        else program.default_budget()
-    )
-    activations = 0
-    if schedule is not None:
-        schedule.events = events
-        roster = program.roster()
-        cells = program.view().cells
-    # Adversarial-policy hints: stepped programs have no run manager, so
-    # the progress carriers are whoever moved last round (roster order
-    # matches view() order for every stepped program).
-    moved: FrozenSet[Any] = frozenset()
-    rounds = 0
-    done = program.done()
-    while not done and rounds < budget:
+
+    #: Self-clocked programs check no connectivity.
+    connectivity_lost = False
+
+    def __init__(
+        self,
+        program: SteppedProgram,
+        schedule: Optional[ActivationSchedule] = None,
+    ) -> None:
+        self.program = program
+        self.schedule = schedule
+        self.metrics = MetricsLog()
+        self.events = EventLog()
+        self.round_index = 0
+        self.activations = 0
+        self.terminal_round: Optional[int] = None
+        # Adversarial-policy hints: stepped programs have no run manager,
+        # so the progress carriers are whoever moved last round (roster
+        # order matches view() order for every stepped program).
+        self._moved: FrozenSet[Any] = frozenset()
+        if schedule is not None:
+            schedule.events = self.events
+            self._roster = program.roster()
+            self._cells = program.view().cells
+
+    @property
+    def state(self) -> Any:
+        return self.program.view()
+
+    def gathered(self) -> bool:
+        return self.program.done()
+
+    def default_budget(self) -> int:
+        return self.program.default_budget()
+
+    def step(self) -> None:
+        r = self.round_index
+        program = self.program
+        schedule = self.schedule
         if schedule is None:
-            program.step(rounds, None, metrics, events)
+            program.step(r, None, self.metrics, self.events)
         else:
-            active = schedule.select(rounds, roster, hints=moved)
-            activations += len(active)
-            program.step(rounds, active, metrics, events)
-            before = dict(zip(roster, cells))
-            roster = program.roster()
-            cells = program.view().cells
-            moved = frozenset(
+            roster = self._roster
+            active = schedule.select(r, roster, hints=self._moved)
+            self.activations += len(active)
+            program.step(r, active, self.metrics, self.events)
+            before = dict(zip(roster, self._cells))
+            self._roster = roster = program.roster()
+            self._cells = cells = program.view().cells
+            self._moved = frozenset(
                 t for t, c in zip(roster, cells) if before.get(t) != c
             )
             schedule.commit(active, survivors=roster)
-        if ctx.on_round is not None:
-            ctx.on_round(rounds, program.view())
-        rounds += 1
-        done = program.done()
-    fields = program.result_fields()
-    robots_final = fields.pop("robots_final")
-    final_state = fields.pop("final_state")
-    events.emit(
-        rounds,
-        "gathered" if done else "budget_exhausted",
-        rounds=rounds,
-        robots=robots_final,
-    )
-    return RunResult(
-        strategy="",
-        scheduler=scheduler_key,
-        gathered=done,
-        rounds=rounds,
-        robots_initial=program.robots_initial,
-        robots_final=robots_final,
-        metrics=metrics,
-        events=events,
-        final_state=final_state,
-        activations=activations if schedule is not None else None,
-        extras=fields,
-    )
+        self.round_index = r + 1
+
+    def result_fields(self) -> Dict[str, Any]:
+        fields = self.program.result_fields()
+        return {
+            "robots_initial": self.program.robots_initial,
+            "robots_final": fields.pop("robots_final"),
+            "final_state": fields.pop("final_state"),
+            "activations": (
+                self.activations if self.schedule is not None else None
+            ),
+            "extras": fields,
+        }
 
 
 #: Seed salts keeping the activation-policy RNG, the fault RNG and the
@@ -237,11 +244,10 @@ _STALENESS_SEED_SALT = 0x5A1E
 def _drive_rounds(
     program: Any,
     ctx: SimContext,
-    scheduler_key: str,
     schedule: Optional[ActivationSchedule] = None,
     staleness: int = 0,
 ) -> RunResult:
-    """Run a grid-state program through the one round loop
+    """Run a grid-state program on the round engine
     (:class:`RoundEngine`): FSYNC without a schedule, SSYNC / async-lcm
     with one."""
     seed = ctx.seed if ctx.seed is not None else 0
@@ -252,26 +258,14 @@ def _drive_rounds(
         staleness=staleness,
         seed=seed ^ _STALENESS_SEED_SALT,
         check_connectivity=program.check_connectivity,
-        on_round=ctx.on_round,
     )
-    res = engine.run(max_rounds=ctx.max_rounds)
-    faults = schedule.faults if schedule is not None else None
-    byzantine = faults is not None and faults.byzantine_rate > 0.0
+    result = run_engine(
+        engine, max_rounds=ctx.max_rounds, on_round=ctx.on_round
+    )
     extras_fn = getattr(program, "extras_fn", None)
-    return RunResult(
-        strategy="",
-        scheduler=scheduler_key,
-        gathered=res.gathered,
-        rounds=res.rounds,
-        robots_initial=res.robots_initial,
-        robots_final=res.robots_final,
-        metrics=res.metrics,
-        events=res.events,
-        final_state=res.final_state,
-        activations=engine.activations if schedule is not None else None,
-        byzantine_actions=engine.byzantine_actions if byzantine else None,
-        extras=dict(extras_fn()) if extras_fn else {},
-    )
+    if extras_fn is not None:
+        result.extras = dict(extras_fn())
+    return result
 
 
 @register_scheduler
@@ -281,7 +275,7 @@ class FsyncScheduler:
     Drives either an engine-backed :class:`FsyncProgram` (grid
     controllers via :class:`repro.engine.scheduler.RoundEngine` without
     a schedule) or a :class:`SteppedProgram` (the Euclidean and chain
-    baselines over non-grid state) via :func:`_drive_stepped` without
+    baselines over non-grid state) via :class:`_SteppedEngine` without
     a schedule.
     """
 
@@ -291,8 +285,12 @@ class FsyncScheduler:
 
     def drive(self, program: Any, ctx: SimContext) -> RunResult:
         if isinstance(program, FsyncProgram):
-            return _drive_rounds(program, ctx, self.key)
-        return _drive_stepped(program, ctx, self.key)
+            return _drive_rounds(program, ctx)
+        return run_engine(
+            _SteppedEngine(program),
+            max_rounds=ctx.max_rounds,
+            on_round=ctx.on_round,
+        )
 
 
 @register_scheduler
@@ -312,20 +310,9 @@ class AsyncScheduler:
             program.controller,
             seed=seed,
             check_connectivity=program.check_connectivity,
-            on_round=ctx.on_round,
         )
-        res = engine.run(max_rounds=ctx.max_rounds)
-        return RunResult(
-            strategy="",
-            scheduler=self.key,
-            gathered=res.gathered,
-            rounds=res.rounds,
-            robots_initial=res.robots_initial,
-            robots_final=res.robots_final,
-            metrics=res.metrics,
-            events=res.events,
-            final_state=engine.state,
-            activations=res.activations,
+        return run_engine(
+            engine, max_rounds=ctx.max_rounds, on_round=ctx.on_round
         )
 
 
@@ -433,7 +420,7 @@ class _SsyncSchedulerBase:
     ) -> RunResult:
         schedule = self._build_schedule(ctx)
         if isinstance(program, (FsyncProgram, AsyncProgram)):
-            return _drive_rounds(program, ctx, self.key, schedule, staleness)
+            return _drive_rounds(program, ctx, schedule, staleness)
         if isinstance(program, SteppedProgram):
             faults = schedule.faults
             if faults is not None and faults.byzantine_rate > 0.0:
@@ -450,7 +437,11 @@ class _SsyncSchedulerBase:
                     "snapshot archive); grid-state strategies support "
                     "any staleness bound"
                 )
-            return _drive_stepped(program, ctx, self.key, schedule)
+            return run_engine(
+                _SteppedEngine(program, schedule),
+                max_rounds=ctx.max_rounds,
+                on_round=ctx.on_round,
+            )
         raise TypeError(
             f"program {type(program).__name__} does not support the "
             f"{self.key} scheduler (needs FsyncProgram, AsyncProgram or "
@@ -926,12 +917,6 @@ class ClosedChainStrategy:
 # ----------------------------------------------------------------------
 # The facade
 # ----------------------------------------------------------------------
-def _snapshot(state: Any) -> Any:
-    if hasattr(state, "frozen"):
-        return state.frozen()
-    return tuple(sorted(state.cells if hasattr(state, "cells") else state))
-
-
 def _chain_hooks(
     hooks: List[Callable[[int, Any], None]],
 ) -> Callable[[int, Any], None]:
@@ -955,7 +940,6 @@ def simulate(
     seed: Optional[int] = None,
     check_connectivity: bool = True,
     on_round: Optional[Callable[[int, Any], None]] = None,
-    record_trajectory: bool = False,
     trace: Optional[Any] = None,
     trace_meta: Optional[Dict[str, Any]] = None,
     **options: Any,
@@ -993,10 +977,10 @@ def simulate(
         Verify the paper's connectivity invariant each round and raise
         :class:`~repro.engine.errors.ConnectivityViolation` on breakage
         (grid-state strategies only).
-    on_round / record_trajectory / trace:
-        Per-round hooks: a callback ``(round_index, state)``; collect
-        :attr:`RunResult.trajectory` snapshots; write a JSONL trace to
-        the given file handle (with strategy/scheduler/family metadata).
+    on_round / trace:
+        Per-round hooks: a callback ``(round_index, state)``; write a
+        JSONL trace to the given file handle (with
+        strategy/scheduler/family metadata).
     options:
         Strategy-specific keywords (``view_range``, ``controller``, ...)
         and scheduler-specific keywords (for ``ssync``/``ssync-faulty``:
@@ -1049,15 +1033,6 @@ def simulate(
     initial_diameter = _span(resolved)
 
     hooks: List[Callable[[int, Any], None]] = []
-    trajectory: Optional[List[Any]] = None
-    if record_trajectory:
-        trajectory = []
-        frames = trajectory  # local alias for the closure
-
-        def record(round_index: int, state: Any) -> None:
-            frames.append(_snapshot(state))
-
-        hooks.append(record)
     if trace is not None:
         meta: Dict[str, Any] = {
             "strategy": strategy,
@@ -1094,6 +1069,5 @@ def simulate(
     result = sched.drive(program, ctx)
     result.strategy = strategy
     result.scheduler = scheduler_key
-    result.trajectory = trajectory
     result.extras.setdefault("initial_diameter", initial_diameter)
     return result

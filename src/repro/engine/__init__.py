@@ -1,5 +1,5 @@
-"""Simulation engines: the synchronous round loop and the sequential
-ASYNC scheduler.
+"""Simulation engines: the synchronous round engine, the sequential
+ASYNC engine, and the one run loop that drives them.
 
 The round engine (:class:`RoundEngine`) implements the look-compute-move
 model of [CP04] as used by the paper: in every round the activated robots
@@ -14,13 +14,15 @@ algorithm and the baselines share infrastructure.
 
 The ASYNC engine models the fair sequential scheduler (one robot at a
 time).
+
+Both engines only step rounds.  :func:`run_engine` owns the rest of a
+run for them and for the facade's self-clocked programs: the round
+budget, the terminal rule (``gathered``, then ``connectivity_lost``,
+then ``budget_exhausted`` — :data:`TERMINAL_KINDS`), the one terminal
+event, the ``on_round`` hook, and the :class:`RunResult`.
 """
 
-from repro.engine.errors import (
-    ConnectivityViolation,
-    NotGathered,
-    SimulationError,
-)
+from repro.engine.errors import ConnectivityViolation, SimulationError
 from repro.engine.events import Event, EventLog
 from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsLog, RoundMetrics
@@ -31,14 +33,19 @@ from repro.engine.protocols import (
     SimContext,
     Strategy,
 )
-from repro.engine.scheduler import Controller, GatherResult, RoundEngine
+from repro.engine.scheduler import Controller, RoundEngine
 from repro.engine.async_scheduler import AsyncController, AsyncEngine
 from repro.engine.ssync_scheduler import (
     ACTIVATION_POLICIES,
     ActivationSchedule,
     make_policy,
 )
-from repro.engine.termination import default_round_budget, is_gathered
+from repro.engine.termination import (
+    TERMINAL_KINDS,
+    default_round_budget,
+    is_gathered,
+    run_engine,
+)
 
 __all__ = [
     "ACTIVATION_POLICIES",
@@ -46,7 +53,6 @@ __all__ = [
     "FaultInjector",
     "make_policy",
     "ConnectivityViolation",
-    "NotGathered",
     "SimulationError",
     "Event",
     "EventLog",
@@ -58,10 +64,11 @@ __all__ = [
     "SimContext",
     "Strategy",
     "Controller",
-    "GatherResult",
     "RoundEngine",
     "AsyncController",
     "AsyncEngine",
+    "TERMINAL_KINDS",
     "default_round_budget",
     "is_gathered",
+    "run_engine",
 ]

@@ -6,18 +6,19 @@ once — "a simple strategy could achieve the same O(n) rounds".  This engine
 models exactly that scheduler so the remark can be measured (experiment E3):
 robots are activated one after another in an adversarially shuffled order per
 round; each activation sees the *current* (not snapshotted) state.
+:func:`~repro.engine.termination.run_engine` steps it to the end of the
+run, like the round engine.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol
 
 from repro.engine.errors import ConnectivityViolation
 from repro.engine.events import EventLog
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.termination import default_round_budget, is_gathered
+from repro.engine.termination import default_round_budget
 from repro.grid.connectivity import (
     connected_components,
     is_connected,
@@ -34,21 +35,6 @@ class AsyncController(Protocol):
     def activate(self, state: SwarmState, robot: Cell) -> Cell: ...
 
 
-@dataclass
-class AsyncResult:
-    gathered: bool
-    rounds: int
-    activations: int
-    robots_initial: int
-    robots_final: int
-    metrics: MetricsLog
-    #: Round-ordered event log (per-round ``merge`` events plus the
-    #: terminal ``gathered``/``budget_exhausted``) — parity with
-    #: :class:`repro.engine.scheduler.GatherResult`.
-    events: EventLog = field(default_factory=EventLog)
-    final_state: Optional[SwarmState] = None
-
-
 class AsyncEngine:
     """Fair sequential scheduler: one robot moves at a time.
 
@@ -58,6 +44,10 @@ class AsyncEngine:
     the essential difference from FSYNC that makes the problem easy.
     """
 
+    #: A disconnecting activation raises :class:`ConnectivityViolation`
+    #: (no schedule to blame), so no run ends ``connectivity_lost``.
+    connectivity_lost = False
+
     def __init__(
         self,
         state: SwarmState,
@@ -66,7 +56,6 @@ class AsyncEngine:
         seed: int = 0,
         check_connectivity: bool = True,
         incremental_connectivity: bool = True,
-        on_round: Optional[Callable[[int, SwarmState], None]] = None,
     ) -> None:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
@@ -86,14 +75,14 @@ class AsyncEngine:
         #: results are identical either way — the certificate is sound,
         #: and when it is inconclusive the engine falls back to the BFS.
         self.incremental_connectivity = incremental_connectivity
-        self.on_round = on_round
+        self.robots_initial = len(state)
         self.metrics = MetricsLog()
         self.events = EventLog()
         self.round_index = 0
         self.activations = 0
-        self._terminal_version: Optional[int] = None
+        self.terminal_round: Optional[int] = None
 
-    def step_round(self) -> int:
+    def step(self) -> int:
         """One fair round (every robot activated once); returns merges."""
         state = self.state
         # Canonical order before the seeded shuffle: ``state.cells`` is a
@@ -139,37 +128,23 @@ class AsyncEngine:
                 diameter=state.diameter_chebyshev(),
             )
         )
-        if self.on_round is not None:
-            self.on_round(self.round_index, state)
         self.round_index += 1
         return merged
 
-    def run(self, max_rounds: Optional[int] = None) -> AsyncResult:
-        n0 = len(self.state)
-        budget = (
-            max_rounds if max_rounds is not None else default_round_budget(n0)
-        )
-        gathered = is_gathered(self.state)
-        while not gathered and self.round_index < budget:
-            self.step_round()
-            gathered = is_gathered(self.state)
-        # Terminal event, deduplicated across resumed runs exactly like
-        # the round engine's (see RoundEngine.run).
-        if self.state.version != self._terminal_version:
-            self.events.emit(
-                self.round_index,
-                "gathered" if gathered else "budget_exhausted",
-                rounds=self.round_index,
-                robots=len(self.state),
-            )
-            self._terminal_version = self.state.version
-        return AsyncResult(
-            gathered=gathered,
-            rounds=self.round_index,
-            activations=self.activations,
-            robots_initial=n0,
-            robots_final=len(self.state),
-            metrics=self.metrics,
-            events=self.events,
-            final_state=self.state,
-        )
+    def gathered(self) -> bool:
+        """All robots fit in the gathering square."""
+        return self.state.is_gathered()
+
+    def default_budget(self) -> int:
+        """The linear budget of :func:`default_round_budget`."""
+        return default_round_budget(self.robots_initial)
+
+    def result_fields(self) -> Dict[str, Any]:
+        """This engine's :class:`~repro.engine.protocols.RunResult`
+        fields."""
+        return {
+            "robots_initial": self.robots_initial,
+            "robots_final": len(self.state),
+            "final_state": self.state,
+            "activations": self.activations,
+        }

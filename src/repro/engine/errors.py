@@ -8,7 +8,6 @@ __all__ = [
     "InvariantError",
     "SimulationError",
     "ConnectivityViolation",
-    "NotGathered",
 ]
 
 
@@ -34,13 +33,3 @@ class ConnectivityViolation(SimulationError):
         self.round_index = round_index
         self.n_components = n_components
 
-
-class NotGathered(SimulationError):
-    """The round budget was exhausted before gathering completed."""
-
-    def __init__(self, rounds: int, robots_left: int) -> None:
-        super().__init__(
-            f"not gathered after {rounds} rounds ({robots_left} robots left)"
-        )
-        self.rounds = rounds
-        self.robots_left = robots_left

@@ -15,8 +15,8 @@ strategies can depend on the *types* without importing the registry:
 * the *program* types schedulers drive: :class:`FsyncProgram` and
   :class:`AsyncProgram` (engine-backed) and :class:`SteppedProgram`
   (self-clocked programs over non-grid state: Euclidean go-to-center
-  and the two chain gatherers, driven by the one stepped loop under
-  FSYNC, SSYNC and async-lcm at Δ = 0).
+  and the two chain gatherers, stepped by the facade's stepped engine
+  under FSYNC, SSYNC and async-lcm at Δ = 0).
 
 See ``docs/api.md`` for the full facade contract and the migration
 table from the removed per-workload entry points.
@@ -113,27 +113,29 @@ def _jsonable(value: Any) -> bool:
 
 @dataclass
 class RunResult:
-    """Outcome of one :func:`repro.api.simulate` call — any strategy,
-    any scheduler.
+    """Outcome of one run — any strategy, any scheduler: what
+    :func:`repro.api.simulate` returns, built by the one run loop
+    (:func:`repro.engine.termination.run_engine`).
 
     ``gathered`` means "reached the workload's goal" (a 2x2 square for
     grid gathering, diameter below threshold for the Euclidean model, a
     minimal chain for chain shortening).  ``metrics`` and ``events`` are
-    populated for *every* strategy; ``events`` always ends with a
-    terminal ``gathered`` / ``budget_exhausted`` event (or
-    ``connectivity_lost`` when an SSYNC run broke the algorithm's
-    connectivity invariant), and the SSYNC schedulers add per-round
-    ``activation`` and ``fault`` events (schema in
-    ``docs/schedulers.md``).  ``final_state`` is the strategy's native
-    state object (:class:`~repro.grid.occupancy.SwarmState` for grid
-    workloads, an ``EuclideanSwarm`` for the continuous baseline, a
-    cell list for chains).  ``activations`` counts total
-    robot-activations under every scheduler but ``fsync`` (``None``
-    there).  ``extras`` carries
+    populated for *every* strategy; ``events`` always ends with one
+    terminal event of
+    :data:`~repro.engine.termination.TERMINAL_KINDS` — ``gathered``,
+    else ``connectivity_lost`` when an SSYNC run broke the algorithm's
+    connectivity invariant, else ``budget_exhausted`` — and the SSYNC
+    schedulers add per-round ``activation`` and ``fault`` events
+    (schema in ``docs/schedulers.md``).  ``final_state`` is the
+    strategy's native state object
+    (:class:`~repro.grid.occupancy.SwarmState` for grid workloads, an
+    ``EuclideanSwarm`` for the continuous baseline, a cell list for
+    chains).  ``activations`` counts total robot-activations under
+    every scheduler but ``fsync`` (``None`` there).  ``extras`` carries
     strategy-specific scalars/series (e.g. ``total_moves``,
-    ``optimal_length``, ``diameters``); ``initial_diameter`` is always
-    present.  ``trajectory`` holds per-round snapshots when
-    ``record_trajectory=True`` was requested.
+    ``optimal_length``, ``diameters``); ``simulate()`` always adds
+    ``initial_diameter``.  A per-round record of the cells is an
+    ``on_round`` hook or a trace, not a result field.
     """
 
     strategy: str
@@ -150,7 +152,6 @@ class RunResult:
     #: byzantine robot per round); ``None`` when the scheduler had no
     #: byzantine faults enabled.
     byzantine_actions: Optional[int] = None
-    trajectory: Optional[List[Any]] = None
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -233,8 +234,8 @@ class StateView:
 @runtime_checkable
 class SteppedProgram(Protocol):
     """A self-clocked program over non-grid state (Euclidean
-    go-to-center, open- and closed-chain gathering), driven round by
-    round by :func:`repro.api._drive_stepped` under every time model
+    go-to-center, open- and closed-chain gathering), stepped round by
+    round by :class:`repro.api._SteppedEngine` under every time model
     that accepts it.
 
     ``roster`` returns *stable* robot tokens in the order of

@@ -11,7 +11,7 @@ Every round (paper Section 1):
 
 :class:`RoundEngine` runs that round for ``fsync``, ``ssync``,
 ``ssync-faulty`` and ``async-lcm``.  A time model is three independent
-layers over the one loop:
+layers over that one round:
 
 * **activation** — an :class:`~repro.engine.ssync_scheduler.
   ActivationSchedule` picks who acts; no schedule means FSYNC, where
@@ -25,18 +25,17 @@ layers over the one loop:
   byzantine robots lie about their position, hop off-plan, or play dead.
 
 The engine enforces the paper's global safety invariant (connectivity)
-when ``check_connectivity`` is on, records metrics/events, and stops
-when the swarm is gathered into a 2x2 square, the connectivity check
-trips under a schedule, or the round budget runs out.
+when ``check_connectivity`` is on and records metrics and events.
+:func:`~repro.engine.termination.run_engine` steps it until the swarm is
+gathered into a 2x2 square, the connectivity check trips under a
+schedule, or the round budget runs out.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -47,11 +46,11 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.errors import ConnectivityViolation, NotGathered
+from repro.engine.errors import ConnectivityViolation
 from repro.engine.events import EventLog
 from repro.engine.faults import BYZANTINE_BEHAVIORS, _mix, _token_int
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.termination import default_round_budget, is_gathered
+from repro.engine.termination import default_round_budget
 from repro.grid.connectivity import (
     connected_components,
     is_connected,
@@ -87,28 +86,6 @@ class Controller(Protocol):
         moves: Mapping[Cell, Cell],
         merged: int,
     ) -> None: ...
-
-
-@dataclass
-class GatherResult:
-    """Outcome of one simulation run."""
-
-    gathered: bool
-    rounds: int
-    robots_initial: int
-    robots_final: int
-    metrics: MetricsLog
-    events: EventLog
-    final_state: SwarmState
-
-    @property
-    def merges_total(self) -> int:
-        return self.robots_initial - self.robots_final
-
-    def rounds_per_robot(self) -> float:
-        """Normalized runtime ``rounds / n`` — constant iff runtime is
-        linear, the quantity experiment E1 tracks."""
-        return self.rounds / max(self.robots_initial, 1)
 
 
 class TokenLedger:
@@ -173,7 +150,8 @@ class TokenLedger:
 
 class RoundEngine:
     """Drives a controller over a :class:`SwarmState`, one synchronous
-    round at a time, under an optional activation schedule.
+    round at a time, under an optional activation schedule; an engine
+    of :func:`~repro.engine.termination.run_engine`.
 
     Parameters
     ----------
@@ -192,7 +170,7 @@ class RoundEngine:
         identity in a :class:`TokenLedger` (what crash faults, fairness
         streaks and byzantine roles attach to), keeps the moves of
         activated robots only, and reports a broken connectivity check
-        as an outcome instead of raising (see :meth:`run`).
+        as an outcome instead of raising (``connectivity_lost``).
     staleness, seed:
         The view age Δ and the seed of its draws (schedules only).
         Staleness draws are churn-invariant pure functions of
@@ -212,9 +190,6 @@ class RoundEngine:
         every round (used by the equivalence tests; the observable
         behavior is identical either way, because the certificate only
         decides whether the BFS runs).
-    on_round:
-        Optional callback ``(round_index, state)`` after each round —
-        used by the visualizers to capture frames.
     """
 
     def __init__(
@@ -227,8 +202,6 @@ class RoundEngine:
         seed: int = 0,
         check_connectivity: bool = True,
         incremental_connectivity: bool = True,
-        gather_square: int = 2,
-        on_round: Optional[Callable[[int, SwarmState], None]] = None,
     ) -> None:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
@@ -253,13 +226,12 @@ class RoundEngine:
         self.seed = int(seed)
         self.check_connectivity = check_connectivity
         self.incremental_connectivity = incremental_connectivity
-        self.gather_square = gather_square
-        self.on_round = on_round
+        self.robots_initial = len(state)
         self.metrics = MetricsLog()
         # One shared, round-ordered log: if the controller keeps an
         # EventLog the engine adopts it, so controller events, the
         # schedule's activation/fault events and the engine's terminal
-        # events land in the same place (what ``GatherResult.events``
+        # events land in the same place (what ``RunResult.events``
         # exposes).  The adoption implies a 1:1 controller/engine
         # pairing — sharing one controller across engines shares one
         # log (and run/cache state); simulate() builds a fresh
@@ -277,7 +249,7 @@ class RoundEngine:
         #: Set when the connectivity check trips under a schedule; ends
         #: the run with a ``connectivity_lost`` terminal event.
         self.connectivity_lost = False
-        self._terminal_version: Optional[int] = None
+        self.terminal_round: Optional[int] = None
         self._plans = hasattr(controller, "plan_round")
         self.ledger: Optional[TokenLedger] = None
         if schedule is None:
@@ -587,67 +559,32 @@ class RoundEngine:
                 active_runs=getattr(controller, "active_run_count", None),
             )
         )
-        if self.on_round is not None:
-            self.on_round(r, state)
         self.round_index += 1
         return merged
 
-    def run(
-        self,
-        max_rounds: Optional[int] = None,
-        *,
-        raise_on_budget: bool = False,
-    ) -> GatherResult:
-        """Run until gathered, until the connectivity check trips under
-        a schedule, or until ``max_rounds`` (default: the generous linear
-        budget of :func:`default_round_budget`).
+    def gathered(self) -> bool:
+        """All robots fit in the gathering square (the bounding-box
+        test: a split state that still fits it counts as gathered)."""
+        return self.state.is_gathered()
 
-        The terminal event names the first that holds of: ``gathered``
-        (the bounding-box test — a split state that still fits the
-        gathering box counts as gathered), ``connectivity_lost``,
-        ``budget_exhausted``.  ``raise_on_budget`` raises
-        :class:`NotGathered` instead of ending on an exhausted budget.
-        """
-        n0 = len(self.state)
-        budget = (
-            max_rounds
-            if max_rounds is not None
-            else default_round_budget(n0)
-        )
-        gathered = is_gathered(self.state, self.gather_square)
-        while (
-            not gathered
-            and not self.connectivity_lost
-            and self.round_index < budget
-        ):
-            self.step()
-            gathered = is_gathered(self.state, self.gather_square)
-        if gathered:
-            terminal = "gathered"
-        elif self.connectivity_lost:
-            terminal = "connectivity_lost"
-        else:
-            terminal = "budget_exhausted"
-            if raise_on_budget:
-                raise NotGathered(self.round_index, len(self.state))
-        # Terminal event (round_index == total rounds executed): the log
-        # records how the simulation ended, not only what happened in it.
-        # A resumed run that made progress logs a new terminal; calling
-        # run() again without any step does not duplicate the last one.
-        if self.state.version != self._terminal_version:
-            self.events.emit(
-                self.round_index,
-                terminal,
-                rounds=self.round_index,
-                robots=len(self.state),
-            )
-            self._terminal_version = self.state.version
-        return GatherResult(
-            gathered=gathered,
-            rounds=self.round_index,
-            robots_initial=n0,
-            robots_final=len(self.state),
-            metrics=self.metrics,
-            events=self.events,
-            final_state=self.state,
-        )
+    def default_budget(self) -> int:
+        """The linear budget of :func:`default_round_budget`."""
+        return default_round_budget(self.robots_initial)
+
+    def result_fields(self) -> Dict[str, Any]:
+        """This engine's :class:`~repro.engine.protocols.RunResult`
+        fields; the counters are ``None`` where they do not apply."""
+        schedule = self.schedule
+        faults = schedule.faults if schedule is not None else None
+        byzantine = faults is not None and faults.byzantine_rate > 0.0
+        return {
+            "robots_initial": self.robots_initial,
+            "robots_final": len(self.state),
+            "final_state": self.state,
+            "activations": (
+                self.activations if schedule is not None else None
+            ),
+            "byzantine_actions": (
+                self.byzantine_actions if byzantine else None
+            ),
+        }

@@ -12,9 +12,10 @@ rounds.
 
 This module is the activation layer of that model (the registry entries
 ``ssync`` / ``ssync-faulty`` / ``async-lcm`` live in :mod:`repro.api`,
-the grid round loop in :mod:`repro.engine.scheduler`, and the stepped
-loop of the self-clocked Euclidean and chain baselines in
-:func:`repro.api._drive_stepped`; both loops drive the same schedule):
+the grid round engine in :mod:`repro.engine.scheduler`, and the stepped
+engine of the self-clocked Euclidean and chain baselines in
+:class:`repro.api._SteppedEngine`; both engines drive the same
+schedule):
 
 * activation policies (:data:`ACTIVATION_POLICIES`) — ``uniform``
   (independent coin with probability ``p`` per robot-round),

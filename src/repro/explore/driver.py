@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.constants import GATHER_SQUARE
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.runs import RunFork
@@ -54,7 +55,7 @@ from repro.explore.canonical import (
     round_phase,
 )
 from repro.grid.connectivity import articulation_cells, is_connected
-from repro.grid.geometry import Cell
+from repro.grid.geometry import Cell, bounding_box
 from repro.grid.occupancy import SwarmState
 from repro.trace.replay import (
     checkpoint_fork,
@@ -305,19 +306,17 @@ def _representative_round(phase: int, cfg: AlgorithmConfig) -> int:
     return 0 if phase == 0 else 1
 
 
-def _status_of(cells: Set[Cell], gather_square: int) -> str:
-    """Terminal classification of a raw cell set — the same predicates,
-    in the same precedence, as ``RoundEngine.run()``: the bounding-box
-    gathering test wins over disconnection.  The two *can* coincide
-    (e.g. two diagonal robots inside a 2x2 box are disconnected yet
-    bbox-gathered); the engine reports such runs as ``gathered``, so
-    the explorer must too or witnesses would not replay."""
-    xs = [x for x, _ in sorted(cells)]
-    ys = [y for _, y in sorted(cells)]
-    if (
-        max(xs) - min(xs) <= gather_square - 1
-        and max(ys) - min(ys) <= gather_square - 1
-    ):
+def _status_of(cells: Set[Cell]) -> str:
+    """Terminal classification of a raw cell set, in the precedence of
+    the run loop (:func:`~repro.engine.termination.run_engine`): the
+    bounding-box gathering test wins over disconnection.  The two *can*
+    coincide (e.g. two diagonal robots inside a 2x2 box are
+    disconnected yet bbox-gathered); the loop reports such runs as
+    ``gathered``, so the explorer must too or witnesses would not
+    replay.  The test runs on the raw cells: a node builds no
+    :class:`~repro.grid.occupancy.SwarmState` row index for it."""
+    min_x, min_y, max_x, max_y = bounding_box(cells)
+    if max_x - min_x < GATHER_SQUARE and max_y - min_y < GATHER_SQUARE:
         return "gathered"
     if not is_connected(cells):
         return "disconnected"
@@ -335,7 +334,6 @@ def explore(
     branch_samples: int = 24,
     include_stall: bool = True,
     seed: int = 0,
-    gather_square: int = 2,
     strategy: str = "grid",
     symmetry: str = "translation",
     plan_memo: Optional[PlanMemo] = None,
@@ -397,9 +395,7 @@ def explore(
         cells, user_cfg, root_key, root_offset, mode,
         strategy=strategy, symmetry=symmetry,
     )
-    root = Node(
-        key=root_key, depth=0, status=_status_of(set(cells), gather_square)
-    )
+    root = Node(key=root_key, depth=0, status=_status_of(set(cells)))
     dag.nodes[root_key] = root
 
     rng = random.Random(seed ^ _BRANCH_SEED_SALT)
@@ -426,7 +422,6 @@ def explore(
                 mode=mode,
                 branch_samples=branch_samples,
                 include_stall=include_stall,
-                gather_square=gather_square,
             )
             for child_key in children:
                 child = dag.nodes[child_key]
@@ -492,7 +487,6 @@ def _expand(
     mode: str,
     branch_samples: int,
     include_stall: bool,
-    gather_square: int,
 ) -> List[StateKey]:
     """Fork ``node`` across its activation subsets; returns child keys
     in enumeration order (deduplicated against the DAG)."""
@@ -543,7 +537,7 @@ def _expand(
             child = Node(
                 key=key,
                 depth=node.depth + 1,
-                status=_status_of(branch_state.cells, gather_square),
+                status=_status_of(branch_state.cells),
                 parent=(node.key, chosen, offset),
             )
             dag.nodes[key] = child

@@ -56,19 +56,6 @@ class Boundary:
         """The set of distinct robots on this boundary."""
         return frozenset(self.robots)
 
-    @cached_property
-    def position_index(self) -> Dict[Cell, List[int]]:
-        """Robot cell -> all cycle indices at which it appears (ascending).
-
-        Cached on the (immutable) boundary so the run manager can relocate
-        runs on contours kept across rounds without rebuilding an index.
-        """
-        idx: Dict[Cell, List[int]] = {}
-        setdefault = idx.setdefault
-        for pos, robot in enumerate(self.robots):
-            setdefault(robot, []).append(pos)
-        return idx
-
     def successor(self, index: int, direction: int = 1) -> int:
         """Index of the next robot along the cycle in ``direction`` (+1/-1)."""
         return (index + direction) % len(self.robots)

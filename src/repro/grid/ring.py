@@ -220,14 +220,6 @@ class BoundaryRing:
         representation)."""
         return self.step(head, -direction).cell
 
-    def walk_cells(
-        self, head: RingNode, direction: int, count: int
-    ) -> List[Cell]:
-        """``count + 1`` robot cells starting at ``head`` (inclusive)."""
-        return [head.cell] + [
-            n.cell for n in self.walk_heads(head, direction, count)
-        ]
-
     def robots_cycle(self) -> Tuple[Cell, ...]:
         """The collapsed robot cycle from the canonical head — exactly
         ``self.to_boundary().robots`` (O(contour); start rounds only)."""

@@ -41,7 +41,11 @@ from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.engine.events import EventLog
 from repro.engine.protocols import Scenario, SimContext
-from repro.engine.termination import default_round_budget
+from repro.engine.termination import (
+    TERMINAL_KINDS,
+    default_round_budget,
+    run_engine,
+)
 from repro.service.records import RunRegistry
 from repro.trace.recorder import TraceRecorder, read_resumable_trace
 from repro.trace.replay import (
@@ -49,9 +53,6 @@ from repro.trace.replay import (
     last_checkpoint,
     resume_engine,
 )
-
-#: Event kinds that end a run (one of these is always emitted).
-TERMINAL_KINDS = ("gathered", "budget_exhausted", "connectivity_lost")
 
 
 def scenario_from_params(params: Dict[str, Any]) -> Scenario:
@@ -195,7 +196,6 @@ def _execute_grid_checkpointed(
         # the rows after it are already in the trace.
         engine = resume_engine(row, cfg, check_connectivity=check)
         budget = int(meta["budget"])
-        n0 = int(meta["n"])
         with trace_path.open("a") as fh:
             recorder = TraceRecorder(
                 fh,
@@ -206,27 +206,21 @@ def _execute_grid_checkpointed(
                 every=checkpoint_every,
                 resume_after=rows[-1],
             )
-            engine.on_round = _flushing(recorder)
-            result = engine.run(max_rounds=budget)
-        # Rebuild the summary shape from the header: the engine only
-        # saw the tail, so initial-population fields come from meta.
-        # Event counts cover the resumed tail plus the terminal event
-        # (documented in docs/service.md).
-        summary = {
-            "strategy": "grid",
-            "scheduler": "fsync",
-            "gathered": result.gathered,
-            "rounds": result.rounds,
-            "robots_initial": n0,
-            "robots_final": result.robots_final,
-            "merges": n0 - result.robots_final,
-            "rounds_per_robot": round(result.rounds / max(n0, 1), 4),
-            "events": result.events.counts(),
-            "extras": {
-                "initial_diameter": meta["initial_diameter"],
-            },
-        }
-        return summary, _terminal_events(result.events), row.round_index
+            result = run_engine(
+                engine, max_rounds=budget, on_round=_flushing(recorder)
+            )
+        # The engine only saw the tail, so the initial-population
+        # fields come from the header.  Event counts cover the resumed
+        # tail plus the terminal event (documented in docs/service.md).
+        result.strategy = "grid"
+        result.scheduler = "fsync"
+        result.robots_initial = int(meta["n"])
+        result.extras["initial_diameter"] = meta["initial_diameter"]
+        return (
+            result.summary(),
+            _terminal_events(result.events),
+            row.round_index,
+        )
 
     # Fresh run: resolve the scenario once to write an eager header
     # (round-0 frames and resume metadata), then run through the

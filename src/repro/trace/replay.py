@@ -25,6 +25,7 @@ from repro.core.config import AlgorithmConfig
 from repro.core.runs import Run, RunFork
 from repro.core.tolerant import TolerantGatherOnGrid
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.errors import InvariantError
 from repro.grid.occupancy import SwarmState
 from repro.trace.recorder import TraceRow
@@ -55,17 +56,14 @@ def replay(
     rounds: int,
     cfg: Optional[AlgorithmConfig] = None,
 ) -> List[frozenset]:
-    """Run the algorithm for ``rounds`` rounds, returning per-round states."""
+    """Run the algorithm for at most ``rounds`` rounds, returning the
+    per-round states (fewer when it gathers first)."""
     states: List[frozenset] = []
-    engine = RoundEngine(
-        SwarmState(initial_cells),
-        GatherOnGrid(cfg),
+    run_engine(
+        RoundEngine(SwarmState(initial_cells), GatherOnGrid(cfg)),
+        max_rounds=rounds,
         on_round=lambda i, s: states.append(s.frozen()),
     )
-    for _ in range(rounds):
-        if engine.state.is_gathered():
-            break
-        engine.step()
     return states
 
 
@@ -150,16 +148,16 @@ def resume_engine(
     cfg: Optional[AlgorithmConfig] = None,
     *,
     check_connectivity: bool = True,
-    **engine_kwargs,
 ) -> RoundEngine:
     """An FSYNC engine continuing from a checkpointed trace row.
 
     The recorder's ``on_round`` hook fires after a round is applied and
     the run table finalized, so the row is post-round state and the
-    resumed engine starts at ``row.round_index + 1``.  Callers resuming
-    a budgeted run must pass the *original* ``max_rounds`` to
-    :meth:`~repro.engine.scheduler.RoundEngine.run` — the default
-    budget is derived from the current (already shrunk) robot count.
+    resumed engine starts at ``row.round_index + 1``.  Hand it to
+    :func:`~repro.engine.termination.run_engine` with the *original*
+    ``max_rounds``: the engine's default budget, like its
+    ``robots_initial``, is derived from the row's (already shrunk)
+    robot count.
     """
     if row.checkpoint is None:
         raise ValueError(
@@ -171,7 +169,6 @@ def resume_engine(
         SwarmState(row.cells),
         restore_controller(row.checkpoint, cfg),
         check_connectivity=check_connectivity,
-        **engine_kwargs,
     )
     engine.round_index = row.round_index + 1
     return engine

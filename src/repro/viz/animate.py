@@ -36,10 +36,6 @@ class FrameRecorder:
         self.frames.append(state.frozen())
         self.rounds.append(round_index)
 
-    def ascii_frames(self) -> List[str]:
-        """All frames rendered as text art."""
-        return [render(f) for f in self.frames]
-
     def film_strip(self, limit: int = 10) -> str:
         """First ``limit`` frames joined vertically with round labels."""
         parts = []

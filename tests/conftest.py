@@ -32,5 +32,24 @@ def ring12():
 
 
 @pytest.fixture
+def simulate_cells():
+    """``simulate()`` that also collects each round's sorted cells
+    through ``on_round``: ``result, frames = simulate_cells(scenario,
+    **kwargs)``."""
+    from repro.api import simulate
+
+    def run(scenario, **kwargs):
+        frames = []
+        result = simulate(
+            scenario,
+            on_round=lambda i, s: frames.append(tuple(sorted(s.cells))),
+            **kwargs,
+        )
+        return result, frames
+
+    return run
+
+
+@pytest.fixture
 def solid5() -> SwarmState:
     return SwarmState([(x, y) for x in range(5) for y in range(5)])

@@ -5,6 +5,7 @@ import pytest
 from repro.core.algorithm import GatherOnGrid, gather
 from repro.core.config import AlgorithmConfig
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import line, ring, solid_rectangle
 
@@ -45,15 +46,11 @@ class TestDeterminism:
     def test_same_input_same_history(self):
         hist1, hist2 = [], []
         for hist in (hist1, hist2):
-            engine = RoundEngine(
-                SwarmState(ring(14)),
-                GatherOnGrid(),
+            run_engine(
+                RoundEngine(SwarmState(ring(14)), GatherOnGrid()),
+                max_rounds=30,
                 on_round=lambda i, s, h=hist: h.append(s.frozen()),
             )
-            for _ in range(30):
-                if engine.state.is_gathered():
-                    break
-                engine.step()
         assert hist1 == hist2
 
     def test_translation_invariance(self):
@@ -103,12 +100,11 @@ class TestInvariantsDuringGathering:
     )
     def test_robot_count_never_increases(self, cells):
         counts = []
-        engine = RoundEngine(
-            SwarmState(cells),
-            GatherOnGrid(),
+        run_engine(
+            RoundEngine(SwarmState(cells), GatherOnGrid()),
+            max_rounds=400,
             on_round=lambda i, s: counts.append(len(s)),
         )
-        engine.run(max_rounds=400)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize(
@@ -123,12 +119,11 @@ class TestInvariantsDuringGathering:
 
     def test_bounding_box_never_grows(self):
         boxes = []
-        engine = RoundEngine(
-            SwarmState(ring(12)),
-            GatherOnGrid(),
+        run_engine(
+            RoundEngine(SwarmState(ring(12)), GatherOnGrid()),
+            max_rounds=400,
             on_round=lambda i, s: boxes.append(s.bounding_box()),
         )
-        engine.run(max_rounds=400)
         for a, b in zip(boxes, boxes[1:]):
             ax0, ay0, ax1, ay1 = a
             bx0, by0, bx1, by1 = b

@@ -81,12 +81,6 @@ class TestSmokeMatrix:
         assert all(s in SCHEDULERS for s in strat.schedulers)
         assert strat.description and strat.compare_label
 
-    def test_trajectory_recording(self):
-        result = simulate(ring(8), record_trajectory=True)
-        assert result.trajectory is not None
-        assert len(result.trajectory) == result.rounds
-        assert result.trajectory[-1] == result.final_state.frozen()
-
     def test_trace_integration(self):
         buf = io.StringIO()
         result = simulate(

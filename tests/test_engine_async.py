@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.async_scheduler import AsyncEngine
 from repro.engine.errors import ConnectivityViolation
+from repro.engine.termination import run_engine
 from repro.grid.occupancy import SwarmState
 
 
@@ -31,7 +32,7 @@ class TestAsyncEngine:
         eng = AsyncEngine(
             SwarmState([(i, 0) for i in range(5)]), StayController()
         )
-        result = eng.run(max_rounds=4)
+        result = run_engine(eng, max_rounds=4)
         assert not result.gathered
         assert result.rounds == 4
         assert result.activations == 0
@@ -40,7 +41,7 @@ class TestAsyncEngine:
         eng = AsyncEngine(
             SwarmState([(i, 0) for i in range(10)]), LeafMerger()
         )
-        result = eng.run()
+        result = run_engine(eng)
         assert result.gathered
         assert result.robots_final <= 2
 
@@ -51,16 +52,20 @@ class TestAsyncEngine:
         eng = AsyncEngine(
             SwarmState([(i, 0) for i in range(10)]), LeafMerger()
         )
-        result = eng.run()
+        result = run_engine(eng)
         assert result.rounds >= 2
 
     def test_seed_determinism(self):
-        r1 = AsyncEngine(
-            SwarmState([(i, 0) for i in range(12)]), LeafMerger(), seed=7
-        ).run()
-        r2 = AsyncEngine(
-            SwarmState([(i, 0) for i in range(12)]), LeafMerger(), seed=7
-        ).run()
+        r1 = run_engine(
+            AsyncEngine(
+                SwarmState([(i, 0) for i in range(12)]), LeafMerger(), seed=7
+            )
+        )
+        r2 = run_engine(
+            AsyncEngine(
+                SwarmState([(i, 0) for i in range(12)]), LeafMerger(), seed=7
+            )
+        )
         assert r1.rounds == r2.rounds
         assert r1.activations == r2.activations
 
@@ -73,7 +78,7 @@ class TestAsyncEngine:
                 LeafMerger(),
                 seed=123,
             )
-            result = eng.run()
+            result = run_engine(eng)
             series = [
                 (m.round_index, m.robots, m.merged, m.diameter)
                 for m in result.metrics
@@ -97,7 +102,7 @@ class TestAsyncEngine:
             SwarmState([(i, 0) for i in range(8)]), LeafMerger(), seed=1
         )
         while not eng.state.is_gathered():
-            eng.step_round()
+            eng.step()
             from repro.grid.geometry import bounding_box
 
             assert eng.state.bounding_box() == bounding_box(eng.state.cells)
@@ -109,7 +114,7 @@ class TestAsyncEngine:
 
         eng = AsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), Jumper())
         with pytest.raises(ValueError):
-            eng.step_round()
+            eng.step()
 
     def test_connectivity_enforced(self):
         class Breaker:
@@ -120,7 +125,7 @@ class TestAsyncEngine:
 
         eng = AsyncEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), Breaker())
         with pytest.raises(ConnectivityViolation):
-            eng.step_round()
+            eng.step()
 
 
 class TestIncrementalConnectivity:
@@ -140,7 +145,7 @@ class TestIncrementalConnectivity:
                 seed=42,
                 incremental_connectivity=incremental,
             )
-            r = eng.run()
+            r = run_engine(eng)
             series = [
                 (m.round_index, m.robots, m.merged, m.diameter)
                 for m in r.metrics
@@ -176,7 +181,7 @@ class TestIncrementalConnectivity:
             incremental_connectivity=True,
         )
         with pytest.raises(ConnectivityViolation):
-            eng.step_round()
+            eng.step()
 
     def test_disconnected_initial_swarm_rejected(self):
         # the certificate is only sound relative to a connected swarm, so

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.engine.errors import ConnectivityViolation, NotGathered
+from repro.engine.errors import ConnectivityViolation
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.grid.occupancy import SwarmState
 
 
@@ -44,7 +45,7 @@ class TestEngineSetup:
 
     def test_gathered_immediately(self):
         eng = RoundEngine(SwarmState([(0, 0), (1, 0)]), StaticController())
-        result = eng.run()
+        result = run_engine(eng)
         assert result.gathered
         assert result.rounds == 0
 
@@ -93,12 +94,11 @@ class TestStep:
     def test_on_round_callback(self):
         seen = []
         eng = RoundEngine(
-            SwarmState([(0, 0), (1, 0), (2, 0)]),
-            StaticController(),
-            on_round=lambda i, s: seen.append((i, len(s))),
+            SwarmState([(0, 0), (1, 0), (2, 0)]), StaticController()
         )
-        eng.step()
-        eng.step()
+        run_engine(
+            eng, max_rounds=2, on_round=lambda i, s: seen.append((i, len(s)))
+        )
         assert seen == [(0, 3), (1, 3)]
 
 
@@ -107,22 +107,15 @@ class TestRun:
         eng = RoundEngine(
             SwarmState([(i, 0) for i in range(5)]), StaticController()
         )
-        result = eng.run(max_rounds=7)
+        result = run_engine(eng, max_rounds=7)
         assert not result.gathered
         assert result.rounds == 7
-
-    def test_budget_raise(self):
-        eng = RoundEngine(
-            SwarmState([(i, 0) for i in range(5)]), StaticController()
-        )
-        with pytest.raises(NotGathered):
-            eng.run(max_rounds=3, raise_on_budget=True)
 
     def test_result_accounting(self):
         # after round 0 only 2 adjacent robots remain -> already gathered
         ctrl = ScriptedController([{(0, 0): (1, 0)}, {(1, 0): (2, 0)}])
         eng = RoundEngine(SwarmState([(0, 0), (1, 0), (2, 0)]), ctrl)
-        result = eng.run()
+        result = run_engine(eng)
         assert result.gathered
         assert result.rounds == 1
         assert result.robots_initial == 3

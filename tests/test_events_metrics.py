@@ -4,7 +4,11 @@ import numpy as np
 
 from repro.engine.events import Event, EventLog
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.termination import default_round_budget, is_gathered
+from repro.engine.termination import (
+    default_round_budget,
+    is_gathered,
+    run_engine,
+)
 from repro.grid.occupancy import SwarmState
 
 
@@ -53,7 +57,7 @@ class TestSharedEngineLog:
 
         ctrl = GatherOnGrid()
         engine = RoundEngine(SwarmState(ring(10)), ctrl)
-        result = engine.run()
+        result = run_engine(engine)
         assert result.events is ctrl.events  # one shared log
 
     def test_gather_emits_terminal_gathered(self):
@@ -99,7 +103,7 @@ class TestSharedEngineLog:
             SwarmState([(0, 0), (3, 0), (1, 0), (2, 0)]), Still()
         )
         assert isinstance(engine.events, EventLog)
-        result = engine.run(max_rounds=1)
+        result = run_engine(engine, max_rounds=1)
         assert result.events.counts() == {"budget_exhausted": 1}
 
 
@@ -156,9 +160,9 @@ class TestTerminalEventDedup:
         from repro.swarms.generators import ring
 
         eng = RoundEngine(SwarmState(ring(10)), GatherOnGrid())
-        r1 = eng.run()
+        r1 = run_engine(eng)
         assert r1.gathered
-        r2 = eng.run()  # already gathered: no steps, no new terminal
+        r2 = run_engine(eng)  # already gathered: no round, no terminal
         assert len(r2.events.of_kind("gathered")) == 1
 
     def test_resumed_run_logs_both_outcomes(self):
@@ -167,10 +171,25 @@ class TestTerminalEventDedup:
         from repro.swarms.generators import ring
 
         eng = RoundEngine(SwarmState(ring(14)), GatherOnGrid())
-        r1 = eng.run(max_rounds=2)
+        r1 = run_engine(eng, max_rounds=2)
         assert not r1.gathered
-        r2 = eng.run()  # resume with the default budget
+        r2 = run_engine(eng)  # resume with the default budget
         assert r2.gathered
         # chronological journal: the interim budget stop, then the finish
         assert len(r2.events.of_kind("budget_exhausted")) == 1
         assert len(r2.events.of_kind("gathered")) == 1
+
+    def test_dedup_is_keyed_on_the_round_index(self):
+        # Rounds in which no robot moves still end a new run segment.
+        from repro.engine.async_scheduler import AsyncEngine
+
+        class Stay:
+            def activate(self, state, robot):
+                return robot
+
+        eng = AsyncEngine(SwarmState([(i, 0) for i in range(5)]), Stay())
+        run_engine(eng, max_rounds=2)
+        run_engine(eng, max_rounds=2)  # no new round: no new terminal
+        result = run_engine(eng, max_rounds=4)
+        ends = result.events.of_kind("budget_exhausted")
+        assert [e.round_index for e in ends] == [2, 4]

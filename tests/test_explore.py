@@ -155,8 +155,8 @@ class TestExhaustiveClosure:
         state identically or witnesses would not replay."""
         from repro.explore.driver import _status_of
 
-        assert _status_of({(0, 0), (1, 1)}, 2) == "gathered"
-        assert _status_of({(0, 0), (2, 2)}, 2) == "disconnected"
+        assert _status_of({(0, 0), (1, 1)}) == "gathered"
+        assert _status_of({(0, 0), (2, 2)}) == "disconnected"
 
     def test_terminal_nodes_have_no_edges(self):
         dag = explore(L_TETROMINO)

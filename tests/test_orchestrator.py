@@ -314,6 +314,7 @@ class TestCheckpointResume:
     def test_resume_engine_reproduces_tail(self):
         from repro.core.algorithm import GatherOnGrid
         from repro.engine.scheduler import RoundEngine
+        from repro.engine.termination import run_engine
         from repro.grid.occupancy import SwarmState
         from repro.swarms.generators import ring
         from repro.trace.recorder import TraceRecorder, read_trace
@@ -337,8 +338,8 @@ class TestCheckpointResume:
             recorder(i, s)
             full.append((i, s.frozen()))
 
-        engine = RoundEngine(SwarmState(ring(24)), ctrl, on_round=hook)
-        result = engine.run()
+        engine = RoundEngine(SwarmState(ring(24)), ctrl)
+        result = run_engine(engine, on_round=hook)
         assert result.gathered
 
         meta, rows = read_trace(buf.getvalue().splitlines())
@@ -346,11 +347,11 @@ class TestCheckpointResume:
         row = last_checkpoint(rows[: len(rows) // 2])
         assert row is not None
         resumed_states = []
-        resumed = resume_engine(row)
-        resumed.on_round = lambda i, s: resumed_states.append(
-            (i, s.frozen())
+        res2 = run_engine(
+            resume_engine(row),
+            max_rounds=result.rounds,
+            on_round=lambda i, s: resumed_states.append((i, s.frozen())),
         )
-        res2 = resumed.run(max_rounds=result.rounds)
         assert res2.gathered and res2.rounds == result.rounds
         tail = [fs for fs in full if fs[0] > row.round_index]
         assert resumed_states == tail

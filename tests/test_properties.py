@@ -21,6 +21,7 @@ from repro.core.config import AlgorithmConfig
 from repro.core.patterns import merge_move_for, plan_merges
 from repro.core.view import LocalView
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.grid.connectivity import is_connected
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import random_blob, random_tree
@@ -55,12 +56,10 @@ def test_gathers_with_connectivity_every_round(cells):
 @given(cells=connected_swarms)
 def test_robot_count_monotone_nonincreasing(cells):
     counts = []
-    engine = RoundEngine(
-        SwarmState(cells),
-        GatherOnGrid(),
+    run_engine(
+        RoundEngine(SwarmState(cells), GatherOnGrid()),
         on_round=lambda i, s: counts.append(len(s)),
     )
-    engine.run()
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -77,12 +76,11 @@ def test_linear_round_budget(cells):
 def test_determinism(cells):
     h1, h2 = [], []
     for h in (h1, h2):
-        engine = RoundEngine(
-            SwarmState(cells),
-            GatherOnGrid(),
+        run_engine(
+            RoundEngine(SwarmState(cells), GatherOnGrid()),
+            max_rounds=60,
             on_round=lambda i, s, hh=h: hh.append(s.frozen()),
         )
-        engine.run(max_rounds=60)
     assert h1 == h2
 
 
@@ -226,12 +224,11 @@ def test_full_activation_script_is_fsync(cells):
 
     cells = sorted(cells)
     frames_f, frames_s = [], []
-    engine = RoundEngine(
-        SwarmState(cells),
-        GatherOnGrid(),
+    fsync = run_engine(
+        RoundEngine(SwarmState(cells), GatherOnGrid()),
+        max_rounds=150,
         on_round=lambda i, s: frames_f.append(tuple(sorted(s.cells))),
     )
-    fsync = engine.run(max_rounds=150)
     schedule = [tuple(range(len(cells)))] * fsync.rounds
     scripted = replay_schedule(
         cells,
@@ -254,12 +251,10 @@ def test_trace_replay_roundtrip(cells):
     from repro.trace.replay import verify_trace
 
     buf = io.StringIO()
-    engine = RoundEngine(
-        SwarmState(cells), GatherOnGrid(), on_round=TraceRecorder(buf)
+    run_engine(
+        RoundEngine(SwarmState(cells), GatherOnGrid()),
+        max_rounds=25,
+        on_round=TraceRecorder(buf),
     )
-    for _ in range(25):
-        if engine.state.is_gathered():
-            break
-        engine.step()
     rows = load_trace(buf.getvalue().splitlines())
     assert verify_trace(cells, rows)

@@ -544,6 +544,98 @@ class TestE1EventDocs:
         assert set(kinds) == {"merge", "gathered", "budget_exhausted"}
 
 
+TERMINAL_MODULE = """
+TERMINAL_KINDS = ("gathered", "connectivity_lost", "budget_exhausted")
+
+
+def run_engine(engine, gathered, lost):
+    terminal = (
+        "gathered" if gathered
+        else "connectivity_lost" if lost
+        else "budget_exhausted"
+    )
+    engine.events.emit(engine.round_index, terminal)
+"""
+
+STRAY_TERMINAL = """
+class Engine:
+    def step(self):
+        self.events.emit(0, "merge", removed=1)
+        self.events.emit(1, "connectivity_lost"){suppress}
+"""
+
+TERMINAL_DOC = GOOD_DOC.replace(
+    "| `budget_exhausted` | — |",
+    "| `budget_exhausted` | — |\n| `connectivity_lost` | — |",
+)
+
+
+def _e1_tree(tmp_path, engine_code, terminal_module=TERMINAL_MODULE):
+    """Lint a fixture tree (the terminal module, one engine module and
+    the event doc) with E1 through the runner, which applies
+    suppressions."""
+    files = {
+        "src/repro/engine/termination.py": terminal_module,
+        "src/repro/engine/fixture.py": engine_code,
+        "docs/fixture_events.md": TERMINAL_DOC,
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    rule = EventDocsCrossCheckRule(
+        code_prefixes=("src/repro/engine/",),
+        doc_path="docs/fixture_events.md",
+    )
+    return Runner([rule], repo_root=tmp_path).run([tmp_path / "src"])
+
+
+class TestE1TerminalKinds:
+    """Only the run loop in ``engine/termination.py`` emits terminal
+    kinds; E1 reads them from that module's ``TERMINAL_KINDS``."""
+
+    def test_fires_on_stray_terminal_emit(self, tmp_path):
+        report = _e1_tree(tmp_path, STRAY_TERMINAL.format(suppress=""))
+        assert len(report.active) == 1
+        finding = report.active[0]
+        assert finding.rule == "E1"
+        assert finding.path == "src/repro/engine/fixture.py"
+        assert finding.line == 5
+        assert "`connectivity_lost`" in finding.message
+
+    def test_honors_suppression(self, tmp_path):
+        code = STRAY_TERMINAL.format(
+            suppress="  # reprolint: ok[E1] fixture: a stray terminal"
+        )
+        report = _e1_tree(tmp_path, code)
+        assert report.active == []
+        assert [f.reason for f in report.suppressed] == [
+            "fixture: a stray terminal"
+        ]
+
+    def test_fires_on_non_literal_tuple(self, tmp_path):
+        module = TERMINAL_MODULE.replace(
+            'TERMINAL_KINDS = ("gathered",',
+            'TERMINAL_KINDS = tuple(["gathered"]) + (',
+        )
+        code = STRAY_TERMINAL.format(suppress="")
+        report = _e1_tree(tmp_path, code, terminal_module=module)
+        assert [f.path for f in report.active] == [
+            "src/repro/engine/termination.py"
+        ]
+        assert "literal" in report.active[0].message
+
+    def test_quiet_on_live_tree(self):
+        from repro.engine.termination import TERMINAL_KINDS
+
+        rule = EventDocsCrossCheckRule()
+        paths = [REPO / "src", REPO / "tools", REPO / "benchmarks"]
+        report = Runner([rule], repo_root=REPO).run(paths)
+        assert report.active == []
+        kinds, problems = rule.terminal_kinds([], REPO)
+        assert kinds == set(TERMINAL_KINDS) and problems == []
+
+
 # ----------------------------------------------------------------------
 # A1 — bare asserts
 # ----------------------------------------------------------------------

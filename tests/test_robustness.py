@@ -60,8 +60,9 @@ VERDICT_KEYS = (
 )
 
 
-def digest(result):
-    """Order-insensitive fingerprint of a run for determinism checks."""
+def digest(result, frames):
+    """Fingerprint of a run and its per-round cells for determinism
+    checks."""
     return (
         result.rounds,
         result.gathered,
@@ -69,20 +70,19 @@ def digest(result):
         result.activations,
         result.byzantine_actions,
         tuple(sorted(result.events.counts().items())),
-        tuple(result.trajectory) if result.trajectory else None,
+        tuple(frames),
     )
 
 
 class TestAsyncLcmAnchor:
     @pytest.mark.parametrize("key", ANCHOR_STRATEGIES)
-    def test_zero_staleness_full_activation_reproduces_fsync(self, key):
+    def test_zero_staleness_full_activation_reproduces_fsync(
+        self, key, simulate_cells
+    ):
         scn = STRATEGIES[key].compare_scenario(20)
-        kwargs = dict(
-            strategy=key, seed=3, check_connectivity=False,
-            record_trajectory=True,
-        )
-        fsync = simulate(scn, scheduler="fsync", **kwargs)
-        alcm = simulate(
+        kwargs = dict(strategy=key, seed=3, check_connectivity=False)
+        fsync, fsync_frames = simulate_cells(scn, scheduler="fsync", **kwargs)
+        alcm, alcm_frames = simulate_cells(
             scn,
             scheduler="async-lcm",
             staleness=0,
@@ -93,31 +93,30 @@ class TestAsyncLcmAnchor:
         )
         assert alcm.rounds == fsync.rounds
         assert alcm.gathered == fsync.gathered
-        assert alcm.trajectory == fsync.trajectory  # bit-identical
+        assert alcm_frames == fsync_frames  # bit-identical
         assert len(alcm.metrics) == len(fsync.metrics)
 
-    def test_positive_staleness_is_deterministic(self):
+    def test_positive_staleness_is_deterministic(self, simulate_cells):
         kwargs = dict(
             scheduler="async-lcm", staleness=2, activation_p=0.7,
-            seed=5, check_connectivity=False, record_trajectory=True,
-            max_rounds=500,
+            seed=5, check_connectivity=False, max_rounds=500,
         )
-        r1 = simulate(ring(16), **kwargs)
-        r2 = simulate(ring(16), **kwargs)
-        assert digest(r1) == digest(r2)
+        r1 = simulate_cells(ring(16), **kwargs)
+        r2 = simulate_cells(ring(16), **kwargs)
+        assert digest(*r1) == digest(*r2)
 
-    def test_staleness_changes_the_schedule(self):
+    def test_staleness_changes_the_schedule(self, simulate_cells):
         # Δ > 0 must actually decouple the cycle: the run differs from
         # the atomic-SSYNC run under the same seed and activation law.
         base = dict(
             activation_p=0.7, seed=5, check_connectivity=False,
-            record_trajectory=True, max_rounds=500,
+            max_rounds=500,
         )
-        atomic = simulate(ring(16), scheduler="ssync", **base)
-        stale = simulate(
+        _, atomic = simulate_cells(ring(16), scheduler="ssync", **base)
+        _, stale = simulate_cells(
             ring(16), scheduler="async-lcm", staleness=3, **base
         )
-        assert stale.trajectory != atomic.trajectory
+        assert stale != atomic
 
     @pytest.mark.parametrize(
         "options",
@@ -169,15 +168,14 @@ class TestAsyncLcmAnchor:
 
 
 class TestByzantine:
-    def test_runs_are_seed_deterministic(self):
+    def test_runs_are_seed_deterministic(self, simulate_cells):
         kwargs = dict(
             scheduler="ssync-faulty", byzantine_rate=0.2, seed=1,
-            activation_p=0.9, check_connectivity=False,
-            record_trajectory=True, max_rounds=300,
+            activation_p=0.9, check_connectivity=False, max_rounds=300,
         )
-        r1 = simulate(ring(24), **kwargs)
-        r2 = simulate(ring(24), **kwargs)
-        assert digest(r1) == digest(r2)
+        r1, frames1 = simulate_cells(ring(24), **kwargs)
+        r2, frames2 = simulate_cells(ring(24), **kwargs)
+        assert digest(r1, frames1) == digest(r2, frames2)
         assert r1.byzantine_actions is not None
         assert r1.byzantine_actions > 0
         assert len(r1.events.of_kind("byzantine")) > 0

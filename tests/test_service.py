@@ -29,7 +29,7 @@ from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.engine.protocols import Scenario, SimContext
 from repro.engine.scheduler import RoundEngine
-from repro.engine.termination import default_round_budget
+from repro.engine.termination import default_round_budget, run_engine
 from repro.grid.occupancy import SwarmState
 from repro.service.app import (
     Request,
@@ -522,9 +522,9 @@ def interrupt_grid_run(registry, rid, params, rounds, every):
             checkpoint_fn=lambda: controller_checkpoint(controller),
             every=every,
         )
-        engine = RoundEngine(state, controller, on_round=recorder)
-        for _ in range(rounds):
-            engine.step()
+        engine = RoundEngine(state, controller)
+        result = run_engine(engine, max_rounds=rounds, on_round=recorder)
+        assert result.rounds == rounds
     return meta
 
 

@@ -44,30 +44,26 @@ FSYNC_STRATEGIES = sorted(
 )
 
 
-def digest(result):
-    """Order-sensitive fingerprint of a run (for determinism checks)."""
+def digest(result, frames):
+    """Order-sensitive fingerprint of a run and its per-round cells (for
+    determinism checks)."""
     return (
         result.rounds,
         result.gathered,
         result.robots_final,
         result.activations,
         tuple(sorted(result.events.counts().items())),
-        None if result.trajectory is None else tuple(result.trajectory),
+        tuple(frames),
     )
 
 
 class TestFsyncAnchor:
     @pytest.mark.parametrize("key", FSYNC_STRATEGIES)
-    def test_full_activation_reproduces_fsync(self, key):
+    def test_full_activation_reproduces_fsync(self, key, simulate_cells):
         scn = STRATEGIES[key].compare_scenario(20)
-        kwargs = dict(
-            strategy=key,
-            seed=3,
-            check_connectivity=False,
-            record_trajectory=True,
-        )
-        fsync = simulate(scn, scheduler="fsync", **kwargs)
-        ssync = simulate(
+        kwargs = dict(strategy=key, seed=3, check_connectivity=False)
+        fsync, fsync_frames = simulate_cells(scn, scheduler="fsync", **kwargs)
+        ssync, ssync_frames = simulate_cells(
             scn,
             scheduler="ssync",
             activation_p=1.0,
@@ -77,7 +73,7 @@ class TestFsyncAnchor:
         )
         assert ssync.rounds == fsync.rounds
         assert ssync.gathered == fsync.gathered
-        assert ssync.trajectory == fsync.trajectory
+        assert ssync_frames == fsync_frames
         assert len(ssync.metrics) == len(fsync.metrics)
 
     def test_full_activation_counts_everyone(self):
@@ -94,17 +90,18 @@ class TestFsyncAnchor:
 
 class TestDeterminism:
     @pytest.mark.parametrize("scheduler", ["ssync", "ssync-faulty"])
-    def test_same_seed_same_digest(self, scheduler):
+    def test_same_seed_same_digest(self, scheduler, simulate_cells):
         def run():
-            return simulate(
-                Scenario(family="blob", n=24, seed=7),
-                scheduler=scheduler,
-                seed=7,
-                check_connectivity=False,
-                record_trajectory=True,
+            return digest(
+                *simulate_cells(
+                    Scenario(family="blob", n=24, seed=7),
+                    scheduler=scheduler,
+                    seed=7,
+                    check_connectivity=False,
+                )
             )
 
-        assert digest(run()) == digest(run())
+        assert run() == run()
 
     def test_digest_independent_of_worker_count(self):
         jobs = [
@@ -130,18 +127,17 @@ class TestDeterminism:
             *args, workers=2, **kwargs
         )
 
-    def test_seed_changes_schedule(self):
-        runs = {
-            seed: simulate(
+    def test_seed_changes_schedule(self, simulate_cells):
+        frames = {
+            seed: simulate_cells(
                 ring(16),
                 scheduler="ssync",
                 seed=seed,
                 check_connectivity=False,
-                record_trajectory=True,
-            )
+            )[1]
             for seed in (1, 2)
         }
-        assert runs[1].trajectory != runs[2].trajectory
+        assert frames[1] != frames[2]
 
 
 class TestFairnessAndPolicies:
@@ -444,7 +440,7 @@ class TestScheduleFuzz:
         from repro.trace.replay import replay_schedule
 
         cells = sorted(ring(14))
-        fsync = simulate(cells, record_trajectory=True)
+        fsync = simulate(cells)
         schedule = [tuple(range(len(cells)))] * fsync.rounds
         scripted = replay_schedule(cells, schedule)
         assert scripted.rounds == fsync.rounds
@@ -497,9 +493,16 @@ class TestScheduleFuzz:
         schedule = self._random_schedule(len(cells), 20, seed=9)
 
         def run():
-            return replay_schedule(cells, schedule, max_rounds=80)
+            frames = []
+            result = replay_schedule(
+                cells,
+                schedule,
+                max_rounds=80,
+                on_round=lambda i, s: frames.append(tuple(sorted(s.cells))),
+            )
+            return digest(result, frames)
 
-        assert digest(run()) == digest(run())
+        assert run() == run()
 
     def test_explorer_witness_replays_through_stock_scheduler(self):
         """End to end: an explorer-found counterexample drives the real

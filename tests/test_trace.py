@@ -6,10 +6,10 @@ import threading
 
 import pytest
 
-from repro.api import simulate
 from repro.baselines.chain import hairpin_chain
 from repro.core.algorithm import GatherOnGrid
 from repro.engine.scheduler import RoundEngine
+from repro.engine.termination import run_engine
 from repro.grid.occupancy import SwarmState
 from repro.swarms.generators import ring
 from repro.trace.recorder import (
@@ -25,11 +25,8 @@ from repro.trace.tail import follow_rounds
 def record(cells, rounds, **kwargs):
     buf = io.StringIO()
     rec = TraceRecorder(buf, meta={"shape": "test"}, **kwargs)
-    engine = RoundEngine(SwarmState(cells), GatherOnGrid(), on_round=rec)
-    for _ in range(rounds):
-        if engine.state.is_gathered():
-            break
-        engine.step()
+    engine = RoundEngine(SwarmState(cells), GatherOnGrid())
+    run_engine(engine, max_rounds=rounds, on_round=rec)
     return buf.getvalue()
 
 
@@ -56,11 +53,8 @@ class TestRecorder:
         rec = TraceRecorder(eager, meta={"shape": "test"})
         rec.write_header()
         assert eager.getvalue() == '{"type": "header", "shape": "test"}\n'
-        engine = RoundEngine(
-            SwarmState(ring(8)), GatherOnGrid(), on_round=rec
-        )
-        for _ in range(3):
-            engine.step()
+        engine = RoundEngine(SwarmState(ring(8)), GatherOnGrid())
+        run_engine(engine, max_rounds=3, on_round=rec)
         assert eager.getvalue() == record(ring(8), 3)
 
 
@@ -98,20 +92,18 @@ class TestDeltaRows:
             ("euclidean", ring(6)),
         ],
     )
-    def test_decoded_rows_equal_the_trajectory(self, strategy, cells):
+    def test_decoded_rows_equal_the_trajectory(
+        self, strategy, cells, simulate_cells
+    ):
         # Euclidean rows hold floats and, late in the run, two robots on
         # one point: they must decode as written, not rounded to ints.
         buf = io.StringIO()
-        result = simulate(
-            cells, strategy=strategy, trace=buf, record_trajectory=True
-        )
+        result, frames = simulate_cells(cells, strategy=strategy, trace=buf)
         rows = load_trace(buf.getvalue().splitlines())
         assert [row.round_index for row in rows] == list(
             range(result.rounds)
         )
-        assert [row.cells for row in rows] == [
-            tuple(sorted(frame)) for frame in result.trajectory
-        ]
+        assert [row.cells for row in rows] == frames
 
     def test_rows_share_cell_objects(self):
         rows = load_trace(record(ring(16), 8).splitlines())

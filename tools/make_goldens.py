@@ -42,6 +42,7 @@ import sys
 from repro.core.algorithm import gather
 from repro.core.config import AlgorithmConfig
 from repro.engine.protocols import Scenario
+from repro.engine.termination import TERMINAL_KINDS
 from repro.swarms.generators import (
     FAMILIES,
     comb,
@@ -207,9 +208,6 @@ SCHEDULE_FAMILIES = {
 
 #: Round cap of every schedule golden run.
 SCHEDULE_MAX_ROUNDS = 60
-
-#: Engine terminal event kinds; each run ends with exactly one.
-TERMINAL_KINDS = ("gathered", "budget_exhausted", "connectivity_lost")
 
 #: The self-clocked baselines, one scenario each.
 STEPPED_FAMILIES = {

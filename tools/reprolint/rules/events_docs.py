@@ -12,7 +12,12 @@ with no test failing.  This rule cross-checks the set of event kinds
 * every kind documented there is emitted somewhere in code;
 * every ``.emit(...)`` call's kind argument is statically resolvable
   (a string literal, a literal conditional, or a local name assigned
-  only literals) — otherwise the schema cannot be machine-checked.
+  only literals) — otherwise the schema cannot be machine-checked;
+* a terminal kind — one of the literal ``TERMINAL_KINDS`` tuple of
+  ``src/repro/engine/termination.py``, read from that module's AST —
+  is emitted nowhere else in the linted tree: the one run loop there
+  emits the single terminal event of every run.  A tree without that
+  module (a fixture tree) skips this check.
 
 The docs side reads markdown tables delimited by::
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.engine import Finding, ProjectRule, SourceFile
 
@@ -72,9 +77,11 @@ class EventDocsCrossCheckRule(ProjectRule):
             "src/repro/api.py",
         ),
         doc_path: str = "docs/schedulers.md",
+        terminal_module: str = "src/repro/engine/termination.py",
     ) -> None:
         self.code_prefixes = tuple(code_prefixes)
         self.doc_path = doc_path
+        self.terminal_module = terminal_module
 
     # -- code side -----------------------------------------------------
     def _resolve_kind(
@@ -115,6 +122,19 @@ class EventDocsCrossCheckRule(ProjectRule):
             return values or None
         return None
 
+    def _emit_calls(
+        self, sf: SourceFile
+    ) -> Iterator[Tuple[ast.Call, Optional[Set[str]]]]:
+        """Every ``.emit(round, kind, ...)`` call and its kinds."""
+        for node in ast.walk(sf.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and len(node.args) >= 2
+            ):
+                yield node, self._resolve_kind(node.args[1], sf)
+
     def _emitted_kinds(
         self, files: Sequence[SourceFile]
     ) -> Tuple[Dict[str, Tuple[str, int]], List[Finding]]:
@@ -123,15 +143,7 @@ class EventDocsCrossCheckRule(ProjectRule):
         for sf in files:
             if not sf.rel.startswith(self.code_prefixes):
                 continue
-            for node in ast.walk(sf.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"
-                    and len(node.args) >= 2
-                ):
-                    continue
-                resolved = self._resolve_kind(node.args[1], sf)
+            for node, resolved in self._emit_calls(sf):
                 if resolved is None:
                     problems.append(
                         Finding(
@@ -151,11 +163,79 @@ class EventDocsCrossCheckRule(ProjectRule):
                     kinds.setdefault(kind, (sf.rel, node.lineno))
         return kinds, problems
 
+    # -- terminal kinds ------------------------------------------------
+    def terminal_kinds(
+        self, files: Sequence[SourceFile], repo_root: Path
+    ) -> Tuple[Optional[Set[str]], List[Finding]]:
+        """The terminal module's literal ``TERMINAL_KINDS``, read from
+        the linted file set or else from disk; ``None`` when the tree
+        has no terminal module."""
+        tree = next(
+            (sf.tree for sf in files if sf.rel == self.terminal_module),
+            None,
+        )
+        path = repo_root / self.terminal_module
+        if tree is None and path.exists():
+            tree = ast.parse(path.read_text())
+        if tree is None:
+            return None, []
+        for node in tree.body:
+            if not isinstance(node, ast.Assign) or not any(
+                isinstance(t, ast.Name) and t.id == "TERMINAL_KINDS"
+                for t in node.targets
+            ):
+                continue
+            value = node.value
+            if isinstance(value, ast.Tuple) and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in value.elts
+            ):
+                return {e.value for e in value.elts}, []
+            break
+        return None, [
+            Finding(
+                self.rule_id,
+                self.terminal_module,
+                1,
+                "no literal `TERMINAL_KINDS = (...)` tuple of strings; "
+                "the terminal-emit check cannot run",
+            )
+        ]
+
+    def _stray_terminals(
+        self, files: Sequence[SourceFile], terminal: Set[str]
+    ) -> List[Finding]:
+        out: List[Finding] = []
+        for sf in files:
+            if sf.rel == self.terminal_module:
+                continue
+            for node, resolved in self._emit_calls(sf):
+                stray = sorted((resolved or set()) & terminal)
+                if stray:
+                    kinds = ", ".join(f"`{k}`" for k in stray)
+                    plural = "s" if len(stray) > 1 else ""
+                    out.append(
+                        Finding(
+                            self.rule_id,
+                            sf.rel,
+                            node.lineno,
+                            f"terminal event kind{plural} {kinds} "
+                            f"emitted outside {self.terminal_module}; "
+                            f"the run loop there emits a run's one "
+                            f"terminal event",
+                        )
+                    )
+        return out
+
     # -- cross-check ---------------------------------------------------
     def check_project(
         self, files: Sequence[SourceFile], repo_root: Path
     ) -> List[Finding]:
         emitted, out = self._emitted_kinds(files)
+        terminal, problems = self.terminal_kinds(files, repo_root)
+        out.extend(problems)
+        if terminal is not None:
+            out.extend(self._stray_terminals(files, terminal))
         doc_file = repo_root / self.doc_path
         if not doc_file.exists():
             out.append(
