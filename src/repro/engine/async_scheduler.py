@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Protocol
 from repro.engine.errors import ConnectivityViolation
 from repro.engine.events import EventLog
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.termination import default_round_budget
+from repro.engine.termination import default_round_budget, is_gathered
 from repro.grid.connectivity import (
     connected_components,
     is_connected,
@@ -133,7 +133,7 @@ class AsyncEngine:
 
     def gathered(self) -> bool:
         """All robots fit in the gathering square."""
-        return self.state.is_gathered()
+        return is_gathered(self.state)
 
     def default_budget(self) -> int:
         """The linear budget of :func:`default_round_budget`."""

@@ -50,7 +50,7 @@ from repro.engine.errors import ConnectivityViolation
 from repro.engine.events import EventLog
 from repro.engine.faults import BYZANTINE_BEHAVIORS, _mix, _token_int
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.termination import default_round_budget
+from repro.engine.termination import default_round_budget, is_gathered
 from repro.grid.connectivity import (
     connected_components,
     is_connected,
@@ -565,7 +565,7 @@ class RoundEngine:
     def gathered(self) -> bool:
         """All robots fit in the gathering square (the bounding-box
         test: a split state that still fits it counts as gathered)."""
-        return self.state.is_gathered()
+        return is_gathered(self.state)
 
     def default_budget(self) -> int:
         """The linear budget of :func:`default_round_budget`."""

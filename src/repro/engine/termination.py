@@ -32,10 +32,11 @@ from repro.grid.occupancy import SwarmState
 TERMINAL_KINDS = ("gathered", "connectivity_lost", "budget_exhausted")
 
 
-def is_gathered(state: SwarmState, square: int = GATHER_SQUARE) -> bool:
-    """Gathering is complete when all robots fit in a ``square`` x ``square``
-    area (paper Section 3.2: a 2x2 cluster cannot be simplified in FSYNC)."""
-    return state.is_gathered(square)
+def is_gathered(state: SwarmState) -> bool:
+    """Gathering is complete when all robots fit in a 2x2 area (paper
+    Section 3.2: a 2x2 cluster cannot be simplified in FSYNC); the grid
+    engines' ``gathered()``."""
+    return state.is_gathered(GATHER_SQUARE)
 
 
 def default_round_budget(n_robots: int, slack: int = 200) -> int:

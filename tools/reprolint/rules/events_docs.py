@@ -42,6 +42,9 @@ from tools.reprolint.engine import Finding, ProjectRule, SourceFile
 _BEGIN = re.compile(r"<!--\s*reprolint:\s*event-table\s*-->")
 _END = re.compile(r"<!--\s*/reprolint:\s*event-table\s*-->")
 _ROW_KIND = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+#: The module whose literal ``TERMINAL_KINDS`` tuple names the terminal
+#: kinds, and the only module allowed to emit them.
+TERMINAL_MODULE = "src/repro/engine/termination.py"
 
 
 def documented_kinds(text: str) -> Dict[str, int]:
@@ -77,11 +80,9 @@ class EventDocsCrossCheckRule(ProjectRule):
             "src/repro/api.py",
         ),
         doc_path: str = "docs/schedulers.md",
-        terminal_module: str = "src/repro/engine/termination.py",
     ) -> None:
         self.code_prefixes = tuple(code_prefixes)
         self.doc_path = doc_path
-        self.terminal_module = terminal_module
 
     # -- code side -----------------------------------------------------
     def _resolve_kind(
@@ -171,10 +172,10 @@ class EventDocsCrossCheckRule(ProjectRule):
         the linted file set or else from disk; ``None`` when the tree
         has no terminal module."""
         tree = next(
-            (sf.tree for sf in files if sf.rel == self.terminal_module),
+            (sf.tree for sf in files if sf.rel == TERMINAL_MODULE),
             None,
         )
-        path = repo_root / self.terminal_module
+        path = repo_root / TERMINAL_MODULE
         if tree is None and path.exists():
             tree = ast.parse(path.read_text())
         if tree is None:
@@ -195,7 +196,7 @@ class EventDocsCrossCheckRule(ProjectRule):
         return None, [
             Finding(
                 self.rule_id,
-                self.terminal_module,
+                TERMINAL_MODULE,
                 1,
                 "no literal `TERMINAL_KINDS = (...)` tuple of strings; "
                 "the terminal-emit check cannot run",
@@ -207,7 +208,7 @@ class EventDocsCrossCheckRule(ProjectRule):
     ) -> List[Finding]:
         out: List[Finding] = []
         for sf in files:
-            if sf.rel == self.terminal_module:
+            if sf.rel == TERMINAL_MODULE:
                 continue
             for node, resolved in self._emit_calls(sf):
                 stray = sorted((resolved or set()) & terminal)
@@ -220,7 +221,7 @@ class EventDocsCrossCheckRule(ProjectRule):
                             sf.rel,
                             node.lineno,
                             f"terminal event kind{plural} {kinds} "
-                            f"emitted outside {self.terminal_module}; "
+                            f"emitted outside {TERMINAL_MODULE}; "
                             f"the run loop there emits a run's one "
                             f"terminal event",
                         )
