@@ -188,10 +188,13 @@ class _SteppedEngine:
         if schedule is not None:
             schedule.events = self.events
             self._roster = program.roster()
-            self._cells = program.view().cells
+            self._view = program.view()
 
     @property
     def state(self) -> Any:
+        # Under a schedule, step() has already built this round's view.
+        if self.schedule is not None:
+            return self._view
         return self.program.view()
 
     def gathered(self) -> bool:
@@ -211,11 +214,13 @@ class _SteppedEngine:
             active = schedule.select(r, roster, hints=self._moved)
             self.activations += len(active)
             program.step(r, active, self.metrics, self.events)
-            before = dict(zip(roster, self._cells))
+            before = dict(zip(roster, self._view.cells))
             self._roster = roster = program.roster()
-            self._cells = cells = program.view().cells
+            self._view = program.view()
             self._moved = frozenset(
-                t for t, c in zip(roster, cells) if before.get(t) != c
+                t
+                for t, c in zip(roster, self._view.cells)
+                if before.get(t) != c
             )
             schedule.commit(active, survivors=roster)
         self.round_index = r + 1

@@ -63,7 +63,7 @@ class GatherOnGrid:
 
         # Step 1: merge operations (state-free).
         if pipeline is not None:
-            merge_moves, _ = pipeline.plan_merges(state)
+            merge_moves = pipeline.plan_merges(state)
         else:
             merge_moves, _ = plan_merges(state, cfg)
 

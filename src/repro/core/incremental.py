@@ -29,13 +29,13 @@ Ring consumers (run location, run planning, start sites) navigate stable
 ``Boundary`` remains available through ``to_boundary()`` for analysis and
 the equivalence suite.
 
-**Bit-identical by construction.**  The caches reproduce the exact
-candidate/boundary *sets* of the full rescans, and every consumer of those
-sets (conflict resolution, run location, move composition) is
-order-insensitive or consumes canonically ordered input, so trajectories
-(moves, rounds, merges, events) are identical with the pipeline on or off
-— ``tests/test_incremental_equivalence.py`` asserts this against golden
-traces captured from the seed implementation.
+**Bit-identical by construction.**  The merge cache returns exactly the
+moves of the full scan, the rings reproduce its boundary *sets*, and
+every consumer of those (run location, run planning, move composition)
+is order-insensitive or consumes canonically ordered input, so
+trajectories (moves, rounds, merges, events) are identical with the
+pipeline on or off — ``tests/test_incremental_equivalence.py`` asserts
+this against golden traces captured from the seed implementation.
 
 **Rings are repaired on demand.**  Merges are state-free local
 patterns, so only a live run or a due run start reads the contours.  The
@@ -62,7 +62,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import AlgorithmConfig
-from repro.core.patterns import MergeCache, MergePattern
+from repro.core.patterns import MergeCache
 from repro.core.quasiline import StartSite, StartSiteIndex
 from repro.grid.geometry import Cell
 from repro.grid.occupancy import SwarmState
@@ -118,10 +118,9 @@ class IncrementalPipeline:
         self._version = state.version
 
     # ------------------------------------------------------------------
-    def plan_merges(
-        self, state: SwarmState
-    ) -> Tuple[Dict[Cell, Cell], List[MergePattern]]:
-        """Drop-in replacement for :func:`repro.core.patterns.plan_merges`."""
+    def plan_merges(self, state: SwarmState) -> Dict[Cell, Cell]:
+        """The moves of :func:`repro.core.patterns.plan_merges`, from the
+        merge cache."""
         self._sync(state)
         return self.merge_cache.plan()
 
@@ -136,7 +135,7 @@ class IncrementalPipeline:
             self._ring_delta = set()
         elif self._ring_delta:
             self.ring_set.update(
-                state.cells, self._ring_delta, rows=state.rows()
+                state.cells, self._ring_delta, masks=state.masks()
             )
             self._ring_delta = set()
         return self.ring_set

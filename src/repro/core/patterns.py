@@ -25,6 +25,14 @@ Simultaneity is resolved exactly in the spirit of the paper's Figure 3:
 * cells that serve as *targets/supports* of any candidate pattern are
   **frozen** — a pattern one of whose movers is frozen is dropped.  The
   paper obtains the same effect by requiring the grey robots not to move.
+
+The rules are implemented twice.  :func:`plan_merges` scans the cell set
+and lists every candidate as a :class:`MergePattern`; the explorer, the
+full-rescan mode (``incremental=False``), :mod:`repro.analysis.progress`
+and the figures call it.  :class:`MergeCache`, the incremental
+pipeline's planner, derives the same moves from the state's per-row and
+per-column bitmasks and keeps them between rounds.  The differential
+tests hold the two equal on every round of every input they drive.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -44,7 +51,7 @@ from typing import (
 
 from repro.core.config import AlgorithmConfig
 from repro.grid.geometry import Cell, add, neighbors4, perpendicular, sub
-from repro.grid.occupancy import SwarmState
+from repro.grid.occupancy import LineMasks, SwarmState
 
 
 @dataclass(frozen=True)
@@ -87,11 +94,10 @@ def _row_bumps(
 ) -> List[MergePattern]:
     """Horizontal bump candidates of one row (paper Fig. 2, both hops).
 
-    These per-line enumerators are the simulator's hottest full-scan code
-    (profiled: ~40% of a round), and :class:`MergeCache` re-runs them on
-    every dirty line, so a cached candidate is value-identical to a
-    full-scan one by construction.  Row ``y``'s candidates read only rows
-    ``y - 1`` to ``y + 1``.
+    The full scan's per-line enumerator: it walks the row's runs cell by
+    cell.  :func:`_line_bumps` finds the same movers with mask
+    operations for :class:`MergeCache`.  Row ``y``'s candidates read only
+    rows ``y - 1`` to ``y + 1``.
     """
     patterns: List[MergePattern] = []
     yn, ys = y + 1, y - 1
@@ -184,8 +190,9 @@ def _leaf_corner_for(
 ) -> Optional[MergePattern]:
     """The leaf or corner candidate of one robot (at most one exists).
 
-    Neighbor checks are inlined — the incremental rescan calls this for
-    every cell in a dirty 8-neighborhood every round.
+    Neighbor checks are inlined — the full scan calls this for every
+    robot that is not a bump mover.  :class:`MergeCache` evaluates the
+    same test for a whole row at once with mask operations.
     """
     x, y = c
     nbrs = []
@@ -308,9 +315,8 @@ def _resolve(
     """Conflict resolution over the full candidate set (see plan_merges).
 
     Purely set-based: the resulting *moves* are independent of candidate
-    order, which is what lets the cached enumeration of
-    :class:`MergeCache` assemble candidates in a different order than the
-    full scan while producing bit-identical trajectories.
+    order.  :meth:`MergeCache.plan` applies the same rule row by row to
+    the candidates' mover and frozen masks.
     """
     movers_all: Set[Cell] = {m for p in candidates for m in p.movers}
     frozen_all: Set[Cell] = set()
@@ -332,185 +338,273 @@ def _resolve(
 
 
 # ----------------------------------------------------------------------
-# Incremental candidate enumeration (dirty-region restricted rescans)
+# Incremental merge planning over line masks
 # ----------------------------------------------------------------------
-def _refresh_lines(
-    patterns: Dict[int, List[MergePattern]],
-    lines: Dict[int, List[int]],
-    dirty: Iterable[int],
-    bumps: Callable[[int, List[int], Set[Cell], int], List[MergePattern]],
-    cells: Set[Cell],
-    max_len: int,
-) -> Tuple[Set[Cell], Set[Cell]]:
-    """Re-enumerate the bump candidates of the ``dirty`` lines of one axis
-    in place; return the movers those lines had before and have after."""
-    old_m: Set[Cell] = set()
-    new_m: Set[Cell] = set()
-    for k in dirty:
-        for p in patterns.pop(k, ()):
-            old_m.update(p.movers)
-        positions = lines.get(k)
-        if positions is not None:
-            ps = bumps(k, positions, cells, max_len)
-            if ps:
-                patterns[k] = ps
-                for p in ps:
-                    new_m.update(p.movers)
-    return old_m, new_m
+def _line_bumps(
+    line: int, pos: int, neg: int, max_len: int
+) -> Tuple[int, int]:
+    """Bump movers of one line mask, as ``(to_neg, to_pos)`` masks.
+
+    ``pos`` and ``neg`` are the masks of the two neighbour lines in the
+    same bit frame.  A maximal run of ``line`` of at most ``max_len``
+    cells hops toward ``neg`` when its ``pos`` side is free and its
+    ``neg`` side is not, and toward ``pos`` the other way round: the
+    patterns :func:`_row_bumps` and :func:`_col_bumps` list cell by
+    cell, one run per loop turn.
+    """
+    if not line & (pos ^ neg):
+        return 0, 0  # a qualifying run has a cell with one side occupied
+    to_neg = to_pos = 0
+    while line:
+        low = line & -line
+        rest = line & (line + low)  # the carry clears the lowest run
+        run = line ^ rest
+        line = rest
+        if run >= low << max_len:
+            continue  # too long to verify locally; runners reshape it
+        if pos & run:
+            if not neg & run:
+                to_pos |= run
+        elif neg & run:
+            to_neg |= run
+    return to_neg, to_pos
 
 
 class MergeCache:
-    """Caches merge-pattern candidates between engine rounds.
+    """The merge moves of :func:`plan_merges`, kept between rounds.
 
-    Invalidation is by **line** (see ``docs/incremental.md``):
+    Everything is derived from the state's line masks
+    (:meth:`SwarmState.masks`), one Python int per row and column, so a
+    line is re-derived in a few big-int operations instead of cell by
+    cell.  Per line the cache keeps:
 
-    * the bump candidates of row ``y`` read only rows ``y - 1`` to
-      ``y + 1`` (the row's runs, their free and support sides), so a flip
-      at ``(x, y)`` dirties rows ``y - 1`` to ``y + 1`` and columns
-      ``x - 1`` to ``x + 1``, and each dirty line is re-enumerated
-      wholesale with the full scan's own :func:`_row_bumps` /
-      :func:`_col_bumps`;
-    * the leaf/corner candidate of robot ``c`` depends on occupancy within
-      Chebyshev distance 1 of ``c`` *and* on whether ``c`` is a bump mover
-      — ``c`` is re-evaluated iff a cell in its 8-neighborhood flipped or
-      its bump-mover status changed.
+    * the bump movers of each row (hopping south, north) and of each
+      column (hopping west, east), the column movers also transposed
+      into per-row masks: row ``y``'s bumps read only rows ``y - 1`` to
+      ``y + 1``, so a flip at ``(x, y)`` re-derives rows ``y - 1`` to
+      ``y + 1`` and columns ``x - 1`` to ``x + 1``;
+    * per row with a candidate, its leaf and corner movers by direction
+      (cells with one occupied 4-neighbour; two perpendicular ones and
+      the diagonal between them occupied), which read rows ``y - 1`` to
+      ``y + 1`` and the row's bump movers, plus the union of all the
+      row's candidate movers and the cells its candidates freeze in the
+      rows below, above and in itself.  These are re-derived on the
+      dirty rows and on the rows whose column-mover bits flipped.
 
-    ``candidates()`` therefore returns exactly the candidate *set* the full
-    scan of :func:`plan_merges` would produce, in a different order.
+    :meth:`plan` then applies the conflict rule of :func:`plan_merges`
+    row by row, from the cached masks of the row and its two neighbours,
+    and returns the same moves.  A different state or a rebuilt mask
+    object (a cell landed below the mask origin) resets the cache.
     """
 
     def __init__(self, cfg: AlgorithmConfig) -> None:
         self.cfg = cfg
-        self._row_patterns: Dict[int, List[MergePattern]] = {}
-        self._col_patterns: Dict[int, List[MergePattern]] = {}
-        self._cell_patterns: Dict[Cell, MergePattern] = {}
-        # Bump movers per axis: the cells barred from leaf/corner
-        # candidacy.
-        self._row_movers: Set[Cell] = set()
-        self._col_movers: Set[Cell] = set()
-        self._primed = False
+        self._masks: Optional[LineMasks] = None
+        # Bump movers: row y -> (south, north) x-masks; column x ->
+        # (west, east) y-masks; and the column movers per row,
+        # y -> x-mask.
+        self._row_bumps: Dict[int, Tuple[int, int]] = {}
+        self._col_bumps: Dict[int, Tuple[int, int]] = {}
+        self._west: Dict[int, int] = {}
+        self._east: Dict[int, int] = {}
+        # Row y -> (movers, frozen below, frozen above, frozen in row,
+        # south, north, west, east bump movers, leaf N, S, E, W movers,
+        # corner NE, NW, SE, SW movers), for rows with a candidate.
+        self._lines: Dict[int, Tuple[int, ...]] = {}
 
     def rebuild(self, state: SwarmState) -> None:
-        """Full enumeration; resets the cache."""
-        cfg = self.cfg
-        cells = state.cells
-        self._row_patterns = {}
-        self._col_patterns = {}
-        row_movers: Set[Cell] = set()
-        col_movers: Set[Cell] = set()
-        if cfg.enable_bump_merges:
-            rows, cols = state.rows(), state.cols()
-            _, row_movers = _refresh_lines(
-                self._row_patterns,
-                rows,
-                rows,
-                _row_bumps,
-                cells,
-                cfg.max_bump_length,
-            )
-            _, col_movers = _refresh_lines(
-                self._col_patterns,
-                cols,
-                cols,
-                _col_bumps,
-                cells,
-                cfg.max_bump_length,
-            )
-        self._row_movers = row_movers
-        self._col_movers = col_movers
-        self._cell_patterns = {}
-        for c in cells:
-            if c in row_movers or c in col_movers:
-                continue
-            p = _leaf_corner_for(cells, c, cfg)
-            if p is not None:
-                self._cell_patterns[c] = p
-        self._primed = True
+        """Derive every line from scratch; resets the cache."""
+        masks = self._masks = state.masks()
+        self._row_bumps = {}
+        self._col_bumps = {}
+        self._west = {}
+        self._east = {}
+        self._lines = {}
+        if self.cfg.enable_bump_merges:
+            self._derive_row_bumps(masks.rows)
+            self._derive_col_bumps(masks.cols)
+        self._derive_lines(masks.rows)
 
     def update(self, state: SwarmState, changed: AbstractSet[Cell]) -> None:
-        """Re-derive the candidates of the dirty lines and neighborhoods.
+        """Re-derive the lines around the cells in ``changed``.
 
-        ``changed`` holds the cells whose occupancy flipped
-        (``state.last_changed``).  Each dirty line is re-enumerated
-        wholesale, so the bump work is O(occupancy of the dirty lines):
-        it grows with swarm width, not with the number of moved robots.
-        Leaf/corner candidates are re-evaluated on the changed
-        8-neighborhoods and on the cells whose bump-mover status flipped.
+        ``changed`` holds the cells whose occupancy flipped since the
+        last sync (``state.last_changed``), which the state's masks have
+        already absorbed.  The work is a few mask operations per dirty
+        line plus one bit flip per column mover that appeared or went.
         """
-        if not self._primed:
+        if state.masks() is not self._masks:
             self.rebuild(state)
             return
         if not changed:
             return
-        cfg = self.cfg
-        cells = state.cells
-        row_movers, col_movers = self._row_movers, self._col_movers
+        rows = {y + d for _, y in changed for d in (-1, 0, 1)}
+        if self.cfg.enable_bump_merges:
+            self._derive_row_bumps(rows)
+            rows |= self._derive_col_bumps(
+                {x + d for x, _ in changed for d in (-1, 0, 1)}
+            )
+        self._derive_lines(rows)
 
-        leaf_dirty: Set[Cell] = set()
-        if cfg.enable_bump_merges:
-            max_len = cfg.max_bump_length
-            old_row_m, new_row_m = _refresh_lines(
-                self._row_patterns,
-                state.rows(),
-                sorted({y + d for _, y in changed for d in (-1, 0, 1)}),
-                _row_bumps,
-                cells,
-                max_len,
+    def _derive_row_bumps(self, ys: Iterable[int]) -> None:
+        rows = self._masks.rows
+        row_bumps = self._row_bumps
+        max_len = self.cfg.max_bump_length
+        for y in ys:
+            r = rows.get(y)
+            bumps = (
+                _line_bumps(r, rows.get(y + 1, 0), rows.get(y - 1, 0), max_len)
+                if r
+                else (0, 0)
             )
-            old_col_m, new_col_m = _refresh_lines(
-                self._col_patterns,
-                state.cols(),
-                sorted({x + d for x, _ in changed for d in (-1, 0, 1)}),
-                _col_bumps,
-                cells,
-                max_len,
-            )
-            # Mover status, snapshotted over the touched cells only
-            # before either mover set mutates.
-            touched = (old_row_m ^ new_row_m) | (old_col_m ^ new_col_m)
-            was_mover = {
-                c for c in touched if c in row_movers or c in col_movers
-            }
-            row_movers -= old_row_m
-            row_movers |= new_row_m
-            col_movers -= old_col_m
-            col_movers |= new_col_m
-            for c in touched:
-                if (c in row_movers or c in col_movers) != (c in was_mover):
-                    leaf_dirty.add(c)
-
-        for cx, cy in changed:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    leaf_dirty.add((cx + dx, cy + dy))
-        cell_patterns = self._cell_patterns
-        for c in leaf_dirty:
-            p = (
-                _leaf_corner_for(cells, c, cfg)
-                if c in cells
-                and c not in row_movers
-                and c not in col_movers
-                else None
-            )
-            if p is not None:
-                cell_patterns[c] = p
+            if bumps[0] or bumps[1]:
+                row_bumps[y] = bumps
             else:
-                cell_patterns.pop(c, None)
+                row_bumps.pop(y, None)
 
-    def candidates(self) -> List[MergePattern]:
-        """The full candidate list (bumps first, then leaf/corner)."""
-        out: List[MergePattern] = []
-        for ps in self._row_patterns.values():
-            out.extend(ps)
-        for ps in self._col_patterns.values():
-            out.extend(ps)
-        out.extend(self._cell_patterns.values())
-        return out
+    def _derive_col_bumps(self, xs: Iterable[int]) -> Set[int]:
+        """Re-derive the columns ``xs``; returns the rows whose
+        transposed column-mover bits flipped."""
+        masks = self._masks
+        cols, x0, y0 = masks.cols, masks.x0, masks.y0
+        col_bumps = self._col_bumps
+        max_len = self.cfg.max_bump_length
+        flipped: Set[int] = set()
+        for x in xs:
+            c = cols.get(x)
+            new = (
+                _line_bumps(c, cols.get(x + 1, 0), cols.get(x - 1, 0), max_len)
+                if c
+                else (0, 0)
+            )
+            old = col_bumps.get(x, (0, 0))
+            if new == old:
+                continue
+            if new[0] or new[1]:
+                col_bumps[x] = new
+            else:
+                del col_bumps[x]
+            bit = 1 << (x - x0)
+            for flips, by_row in (
+                (old[0] ^ new[0], self._west),
+                (old[1] ^ new[1], self._east),
+            ):
+                while flips:
+                    low = flips & -flips
+                    flips ^= low
+                    y = y0 + low.bit_length() - 1
+                    m = by_row.get(y, 0) ^ bit
+                    if m:
+                        by_row[y] = m
+                    else:
+                        del by_row[y]
+                    flipped.add(y)
+        return flipped
 
-    def plan(self) -> Tuple[Dict[Cell, Cell], List[MergePattern]]:
-        """Resolve the cached candidates; same contract as
-        :func:`plan_merges`."""
-        return _resolve(self.candidates())
+    def _derive_lines(self, ys: Iterable[int]) -> None:
+        rows = self._masks.rows
+        row_bumps, west, east = self._row_bumps, self._west, self._east
+        corners = self.cfg.enable_corner_merges
+        lines = self._lines
+        for y in ys:
+            r = rows.get(y)
+            if not r:
+                lines.pop(y, None)
+                continue
+            bs, bn = row_bumps.get(y, (0, 0))
+            bw, be = west.get(y, 0), east.get(y, 0)
+            bump = bs | bn | bw | be
+            # Occupied neighbour on each side, per cell of the row.
+            nb_n, nb_s = rows.get(y + 1, 0), rows.get(y - 1, 0)
+            nb_e, nb_w = r >> 1, r << 1
+            free = r & ~bump
+            only_n = free & nb_n & ~nb_s
+            only_s = free & nb_s & ~nb_n
+            only_e = nb_e & ~nb_w
+            only_w = nb_w & ~nb_e
+            horiz, vert = nb_e | nb_w, nb_n | nb_s
+            ln, ls = only_n & ~horiz, only_s & ~horiz
+            le, lw = free & only_e & ~vert, free & only_w & ~vert
+            if corners:
+                cne = only_n & only_e & (nb_n >> 1)
+                cnw = only_n & only_w & (nb_n << 1)
+                cse = only_s & only_e & (nb_s >> 1)
+                csw = only_s & only_w & (nb_s << 1)
+            else:
+                cne = cnw = cse = csw = 0
+            movers = bump | ln | ls | le | lw | cne | cnw | cse | csw
+            if not movers:
+                lines.pop(y, None)
+                continue
+            lines[y] = (
+                movers,
+                (bs & nb_s) | ls | (cse << 1) | (csw >> 1),
+                (bn & nb_n) | ln | (cne << 1) | (cnw >> 1),
+                (((be << 1) | (bw >> 1)) & r) | (le << 1) | (lw >> 1),
+                bs, bn, bw, be,
+                ln, ls, le, lw,
+                cne, cnw, cse, csw,
+            )
+
+    def plan(self) -> Dict[Cell, Cell]:
+        """This round's merge moves; equal to ``plan_merges(state,
+        cfg)[0]`` for the state of the last sync.
+
+        Per row with a candidate: a leaf or corner mover that some
+        candidate freezes stays, and so does a leaf whose target is a
+        candidate mover; every bump mover hops, diagonally when it is in
+        a row bump and a column bump.  O(candidate rows + moves).
+        """
+        lines = self._lines
+        x0 = self._masks.x0 if self._masks is not None else 0
+        moves: Dict[Cell, Cell] = {}
+        for y in sorted(lines):
+            (
+                movers, _, _, level,
+                bs, bn, bw, be,
+                ln, ls, le, lw,
+                cne, cnw, cse, csw,
+            ) = lines[y]
+            if ln | ls | le | lw | cne | cnw | cse | csw:
+                up = lines.get(y + 1, _NO_LINE)
+                down = lines.get(y - 1, _NO_LINE)
+                stay = ~(level | up[1] | down[2])
+                ln &= stay & ~up[0]
+                ls &= stay & ~down[0]
+                le &= stay & ~(movers >> 1)
+                lw &= stay & ~(movers << 1)
+                cne &= stay
+                cnw &= stay
+                cse &= stay
+                csw &= stay
+            horiz, vert = bw | be, bs | bn
+            for mask, (dx, dy) in zip(
+                (
+                    (bs & ~horiz) | ls,
+                    (bn & ~horiz) | ln,
+                    (be & ~vert) | le,
+                    (bw & ~vert) | lw,
+                    (bs & be) | cse,
+                    (bs & bw) | csw,
+                    (bn & be) | cne,
+                    (bn & bw) | cnw,
+                ),
+                _HOPS,
+            ):
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    x = x0 + low.bit_length() - 1
+                    moves[(x, y)] = (x + dx, y + dy)
+        return moves
+
+
+#: The hop of each mover mask :meth:`MergeCache.plan` materializes.
+_HOPS = ((0, -1), (0, 1), (1, 0), (-1, 0), (1, -1), (-1, -1), (1, 1), (-1, 1))
+
+
+#: The masks of a row without candidates (see ``MergeCache._lines``).
+_NO_LINE = (0,) * 16
 
 
 # ----------------------------------------------------------------------

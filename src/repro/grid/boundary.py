@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.errors import InvariantError
 from repro.grid.geometry import (
@@ -28,7 +28,7 @@ from repro.grid.geometry import (
     SOUTH,
     add,
 )
-from repro.grid.occupancy import SwarmState
+from repro.grid.occupancy import LineMasks, SwarmState
 
 #: A boundary side: (occupied cell, outward unit normal into free space).
 Side = Tuple[Cell, Cell]
@@ -158,10 +158,12 @@ def outer_anchor(occupied: Set[Cell]) -> Side:
     return (anchor_cell, SOUTH)
 
 
-def _outer_anchor_from_rows(rows: Dict[int, List[int]]) -> Side:
-    """:func:`outer_anchor` in O(#rows) via a maintained row index."""
-    y = min(rows)
-    return ((rows[y][0], y), SOUTH)
+def _outer_anchor_from_rows(masks: LineMasks) -> Side:
+    """:func:`outer_anchor` in O(#rows) from a swarm's maintained line
+    masks: the lowest row's lowest set bit."""
+    y = min(masks.rows)
+    low = masks.rows[y]
+    return ((masks.x0 + (low & -low).bit_length() - 1, y), SOUTH)
 
 
 def extract_boundaries(state: SwarmState | Set[Cell]) -> List[Boundary]:

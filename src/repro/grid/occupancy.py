@@ -9,8 +9,8 @@ implements merge-on-collision.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set
 
 import numpy as np
 
@@ -21,6 +21,61 @@ from repro.grid.geometry import (
     neighbors4,
     neighbors8,
 )
+
+
+#: Free bits kept below the swarm's lowest row and column when
+#: :class:`LineMasks` is built: a cell may step this far below the swarm
+#: before the masks need a new origin.
+MASK_MARGIN = 2
+
+
+class LineMasks:
+    """The occupancy as one Python-int bitmask per occupied row and column.
+
+    Bit ``x - x0`` of ``rows[y]`` is set iff ``(x, y)`` is occupied, and
+    bit ``y - y0`` of ``cols[x]`` likewise; a line without robots has no
+    entry.  The origin ``(x0, y0)`` is fixed at build time
+    ``MASK_MARGIN`` below the swarm's lowest column and row, so a mask is
+    as wide as the swarm whatever its absolute coordinates.  Neighbour
+    lines shift into place (``rows[y] >> 1`` marks the cells whose east
+    neighbour is occupied): the merge cache derives every merge
+    candidate that way (:class:`repro.core.patterns.MergeCache`).
+    """
+
+    __slots__ = ("rows", "cols", "x0", "y0")
+
+    def __init__(self, cells: Set[Cell]) -> None:
+        # Tuples order by x first, so min() finds the lowest column.
+        self.x0 = min(cells, default=(0, 0))[0] - MASK_MARGIN
+        self.y0 = min(map(itemgetter(1), cells), default=0) - MASK_MARGIN
+        rows: Dict[int, int] = {}
+        cols: Dict[int, int] = {}
+        x0, y0 = self.x0, self.y0
+        for x, y in cells:
+            rows[y] = rows.get(y, 0) | (1 << (x - x0))
+            cols[x] = cols.get(x, 0) | (1 << (y - y0))
+        self.rows = rows
+        self.cols = cols
+
+    def flip(self, changed: Iterable[Cell]) -> bool:
+        """Toggle the bits of the cells whose occupancy flipped; False
+        (and the masks left part-flipped) if a cell lies below the
+        origin, so the caller must build new masks."""
+        rows, cols, x0, y0 = self.rows, self.cols, self.x0, self.y0
+        for x, y in changed:
+            if x < x0 or y < y0:
+                return False
+            r = rows.get(y, 0) ^ (1 << (x - x0))
+            if r:
+                rows[y] = r
+            else:
+                del rows[y]
+            c = cols.get(x, 0) ^ (1 << (y - y0))
+            if c:
+                cols[x] = c
+            else:
+                del cols[x]
+        return True
 
 
 class SwarmState:
@@ -38,15 +93,7 @@ class SwarmState:
     neighborhoods that actually moved.
     """
 
-    __slots__ = (
-        "_cells",
-        "last_changed",
-        "version",
-        "_rows",
-        "_cols",
-        "_bbox",
-        "_bbox_version",
-    )
+    __slots__ = ("_cells", "last_changed", "version", "_masks", "_bbox")
 
     def __init__(self, cells: Iterable[Cell] = ()) -> None:
         self._cells: Set[Cell] = set(cells)
@@ -57,12 +104,10 @@ class SwarmState:
         self.last_changed: FrozenSet[Cell] = frozenset()
         #: Number of move applications performed on this state.
         self.version: int = 0
-        # Lazily built row/column indices (y -> sorted xs, x -> sorted ys),
-        # maintained incrementally once built; None until first requested.
-        self._rows: Dict[int, list] | None = None
-        self._cols: Dict[int, list] | None = None
+        # Line masks, built on first use and then flipped from
+        # ``last_changed``; the bounding box, cached as (version, box).
+        self._masks: LineMasks | None = None
         self._bbox: tuple | None = None
-        self._bbox_version: int = -1
 
     @classmethod
     def from_validated(cls, cells: Set[Cell]) -> "SwarmState":
@@ -77,10 +122,8 @@ class SwarmState:
         obj._cells = cells
         obj.last_changed = frozenset()
         obj.version = 0
-        obj._rows = None
-        obj._cols = None
+        obj._masks = None
         obj._bbox = None
-        obj._bbox_version = -1
         return obj
 
     # ------------------------------------------------------------------
@@ -120,47 +163,25 @@ class SwarmState:
         return SwarmState.from_validated(set(self._cells))
 
     # ------------------------------------------------------------------
-    # Row/column indices (lazily built, incrementally maintained)
+    # Line masks (lazily built, flipped in place)
     # ------------------------------------------------------------------
-    def rows(self) -> Dict[int, List[int]]:
-        """``y -> sorted occupied xs``; built on first use, then kept in
-        sync by ``apply_moves``/``move_robot``.  Shared by the merge-
-        pattern scan and the bounding-box queries so the per-round cost
-        is O(changed), not O(n)."""
-        if self._rows is None:
-            rows: Dict[int, List[int]] = {}
-            cols: Dict[int, List[int]] = {}
-            for x, y in self._cells:
-                rows.setdefault(y, []).append(x)
-                cols.setdefault(x, []).append(y)
-            for v in rows.values():
-                v.sort()
-            for v in cols.values():
-                v.sort()
-            self._rows, self._cols = rows, cols
-        return self._rows
+    def masks(self) -> LineMasks:
+        """The per-row and per-column occupancy bitmasks.
 
-    def cols(self) -> Dict[int, List[int]]:
-        """``x -> sorted occupied ys`` (see :meth:`rows`)."""
-        if self._cols is None:
-            self.rows()
-        return self._cols
+        Built on first use, then kept in sync by ``apply_moves`` and
+        ``move_robot`` (O(changed) bit flips); a cell landing below the
+        origin retires the object, and the next call builds a new one
+        around the current swarm.  Consumers that cache values derived
+        from the masks compare the returned object by identity to tell
+        a flip from a rebuild.
+        """
+        if self._masks is None:
+            self._masks = LineMasks(self._cells)
+        return self._masks
 
-    def _index_add(self, cell: Cell) -> None:
-        x, y = cell
-        insort(self._rows.setdefault(y, []), x)
-        insort(self._cols.setdefault(x, []), y)
-
-    def _index_remove(self, cell: Cell) -> None:
-        x, y = cell
-        xs = self._rows[y]
-        del xs[bisect_left(xs, x)]
-        if not xs:
-            del self._rows[y]
-        ys = self._cols[x]
-        del ys[bisect_left(ys, y)]
-        if not ys:
-            del self._cols[x]
+    def _flip_masks(self, changed: Iterable[Cell]) -> None:
+        if self._masks is not None and not self._masks.flip(changed):
+            self._masks = None
 
     # ------------------------------------------------------------------
     # Neighborhood queries (4-neighborhood = connectivity, paper Section 1)
@@ -198,24 +219,19 @@ class SwarmState:
     def bounding_box(self) -> tuple[int, int, int, int]:
         """Axis-aligned bounding box of the swarm.
 
-        O(#rows) via the row index (cached per ``version``): the engine
-        queries the box twice per round (termination + metrics), which
-        made the O(n) scan one of the last full-swarm walks per round.
+        The extreme keys of the line masks, O(#rows + #cols) and cached
+        per ``version``: the engine queries the box twice per round
+        (termination + metrics), and an O(n) scan there was one of the
+        last full-swarm walks per round.
         """
         if not self._cells:
             return bounding_box(self._cells)  # raises ValueError
-        if self._bbox_version == self.version and self._bbox is not None:
-            return self._bbox
-        rows = self.rows()
-        min_x = max_x = None
-        for xs in rows.values():
-            if min_x is None or xs[0] < min_x:
-                min_x = xs[0]
-            if max_x is None or xs[-1] > max_x:
-                max_x = xs[-1]
-        self._bbox = (min_x, min(rows), max_x, max(rows))
-        self._bbox_version = self.version
-        return self._bbox
+        if self._bbox is not None and self._bbox[0] == self.version:
+            return self._bbox[1]
+        m = self.masks()
+        box = (min(m.cols), min(m.rows), max(m.cols), max(m.rows))
+        self._bbox = (self.version, box)
+        return box
 
     def diameter_chebyshev(self) -> int:
         """Chebyshev diameter of the swarm (0 for a single robot)."""
@@ -283,12 +299,7 @@ class SwarmState:
             cells.discard(src)
         cells |= targets
         self.last_changed = changed
-        if self._rows is not None:
-            for c in changed:
-                if c in cells:
-                    self._index_add(c)
-                else:
-                    self._index_remove(c)
+        self._flip_masks(changed)
         self.version += 1
         return before - len(cells)
 
@@ -297,8 +308,8 @@ class SwarmState:
 
         ``src`` must be occupied; ``dst`` may equal ``src`` (no-op) and,
         unlike ``apply_moves``, range checking is the caller's job.  Keeps
-        the row/column indices and dirty tracking coherent — sequential
-        engines must use this instead of mutating ``cells`` directly.
+        the line masks and dirty tracking coherent — sequential engines
+        must use this instead of mutating ``cells`` directly.
         """
         if dst == src:
             return False
@@ -307,12 +318,9 @@ class SwarmState:
         merged = dst in cells
         if not merged:
             cells.add(dst)
-        if self._rows is not None:
-            self._index_remove(src)
-            if not merged:
-                self._index_add(dst)
         self.last_changed = (
             frozenset((src,)) if merged else frozenset((src, dst))
         )
+        self._flip_masks(self.last_changed)
         self.version += 1
         return merged

@@ -52,7 +52,7 @@ from repro.grid.boundary import (
     outer_anchor,
 )
 from repro.grid.geometry import DIRECTIONS4, Cell
-from repro.grid.occupancy import SwarmState
+from repro.grid.occupancy import LineMasks, SwarmState
 
 
 def _successor(occupied: Set[Cell], side: Side) -> Side:
@@ -462,11 +462,12 @@ class RingSet:
         self,
         occupied: Set[Cell],
         changed: Iterable[Cell],
-        rows: Optional[Dict[int, List[int]]] = None,
+        masks: Optional[LineMasks] = None,
     ) -> List[BoundaryRing]:
         """Repair the rings after the cells in ``changed`` flipped
-        occupancy.  ``rows`` is an optional ``y -> sorted xs`` index of
-        ``occupied`` for O(#rows) outer-anchor lookup."""
+        occupancy.  ``masks`` are the optional line masks of
+        ``occupied`` (:meth:`SwarmState.masks`), for an O(#rows)
+        outer-anchor lookup."""
         if not self._primed:
             return self.rebuild(occupied)
         changed = set(changed)
@@ -740,7 +741,9 @@ class RingSet:
         # Canonical bookkeeping: outer flag + anchor head, canonical heads
         # of affected inner rings, canonical list order.
         anchor = (
-            _outer_anchor_from_rows(rows) if rows else outer_anchor(occupied)
+            _outer_anchor_from_rows(masks)
+            if masks is not None and masks.rows
+            else outer_anchor(occupied)
         )
         anchor_node = node_of.get(anchor)
         if anchor_node is None:

@@ -109,6 +109,33 @@ class TestSmokeMatrix:
         assert not result.gathered
         assert len(result.events.of_kind("budget_exhausted")) == 1
 
+    def test_stepped_schedule_hook_reuses_the_round_view(self, monkeypatch):
+        """Under a schedule, step() builds each round's view to find the
+        robots that moved; the ``on_round`` hook must read that view,
+        not build a second one: one build at set-up plus one per
+        round."""
+        from repro import api
+
+        builds = []
+        view = api._EuclideanProgram.view
+
+        def counting_view(program):
+            builds.append(program)
+            return view(program)
+
+        monkeypatch.setattr(api._EuclideanProgram, "view", counting_view)
+        seen = []
+        result = simulate(
+            Scenario(family="circle", n=12),
+            strategy="euclidean",
+            scheduler="ssync",
+            seed=1,
+            on_round=lambda r, state: seen.append(state.cells),
+        )
+        assert result.rounds == 15 and len(seen) == 15
+        assert len(builds) == 16
+        assert seen[-1] == view(builds[-1]).cells
+
     def test_seed_changes_async_schedule_not_result_type(self):
         r1 = simulate(ring(10), strategy="async_greedy", seed=1)
         r2 = simulate(ring(10), strategy="async_greedy", seed=1)

@@ -1,8 +1,11 @@
 """Unit tests for repro.grid.occupancy.SwarmState."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.grid.geometry import bounding_box
 from repro.grid.occupancy import SwarmState
 
 
@@ -181,13 +184,45 @@ class TestValidatedFastPath:
         assert (0, 0) in s  # independent
 
 
+def exact_masks(cells, x0, y0):
+    """Line masks of ``cells`` built from scratch at origin (x0, y0)."""
+    rows, cols = {}, {}
+    for x, y in cells:
+        rows[y] = rows.get(y, 0) | (1 << (x - x0))
+        cols[x] = cols.get(x, 0) | (1 << (y - y0))
+    return rows, cols
+
+
+def assert_masks_exact(s):
+    """The maintained masks equal a fresh build at their origin, the
+    origin lies below every cell, and the box is the cells' box."""
+    m = s.masks()
+    assert (m.rows, m.cols) == exact_masks(s.cells, m.x0, m.y0)
+    assert all(x >= m.x0 and y >= m.y0 for x, y in s.cells)
+    assert s.bounding_box() == bounding_box(s.cells)
+
+
+def random_swarm(rng, n=40):
+    return {(rng.randrange(12), rng.randrange(12)) for _ in range(n)}
+
+
+#: Hops drifting down and left, so the swarm reaches cells below the
+#: mask origin and the masks are rebuilt mid-sequence.
+DRIFT = (-1, -1, 0, 1)
+
+
 class TestRowColIndices:
+    """The per-row and per-column bitmasks (``SwarmState.masks``)."""
+
     def test_indices_track_moves(self):
         s = SwarmState([(0, 0), (1, 0), (2, 0)])
-        assert s.rows() == {0: [0, 1, 2]}
+        m = s.masks()
+        assert (m.x0, m.y0) == (-2, -2)
+        assert m.rows == {0: 0b11100}
         s.apply_moves({(2, 0): (2, 1)})
-        assert s.rows() == {0: [0, 1], 1: [2]}
-        assert s.cols() == {0: [0], 1: [0], 2: [1]}
+        assert m.rows == {0: 0b1100, 1: 0b10000}
+        assert m.cols == {0: 0b100, 1: 0b100, 2: 0b1000}
+        assert s.masks() is m
 
     def test_bounding_box_tracks_moves(self):
         s = SwarmState([(0, 0), (1, 0), (2, 0)])
@@ -199,7 +234,47 @@ class TestRowColIndices:
 
     def test_move_robot_keeps_indices(self):
         s = SwarmState([(0, 0), (1, 0)])
-        s.rows()  # build indices
+        m = s.masks()
         assert s.move_robot((1, 0), (0, 0)) is True  # merge
-        assert s.rows() == {0: [0]}
+        assert m.rows == {0: 0b100} and m.cols == {0: 0b100}
         assert s.bounding_box() == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_track_apply_moves(self, seed):
+        rng = random.Random(seed)
+        s = SwarmState(random_swarm(rng))
+        first = s.masks()
+        for _ in range(30):
+            movers = rng.sample(sorted(s.cells), max(1, len(s) // 3))
+            s.apply_moves(
+                {
+                    (x, y): (x + rng.choice(DRIFT), y + rng.choice(DRIFT))
+                    for x, y in movers
+                }
+            )
+            assert_masks_exact(s)
+        assert s.masks() is not first  # the origin was rebuilt
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_track_move_robot(self, seed):
+        rng = random.Random(seed)
+        s = SwarmState(random_swarm(rng))
+        first = s.masks()
+        for _ in range(300):
+            x, y = rng.choice(sorted(s.cells))
+            s.move_robot(
+                (x, y), (x + rng.choice(DRIFT), y + rng.choice(DRIFT))
+            )
+            assert_masks_exact(s)
+        assert s.masks() is not first
+
+    def test_copies_start_without_masks(self):
+        s = SwarmState([(0, 0), (1, 0), (5, 3)])
+        s.masks()
+        c = s.copy()
+        v = SwarmState.from_validated({(0, 0), (1, 0)})
+        assert c._masks is None and v._masks is None
+        assert c.masks() is not s.masks()
+        c.apply_moves({(5, 3): (4, 2)})
+        assert_masks_exact(c)
+        assert_masks_exact(s)

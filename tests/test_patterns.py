@@ -251,18 +251,14 @@ class TestLocalDecision:
             merge_move_for(view, robot, CFG)  # must not raise LocalityError
 
 
-def candidate_set(cache):
-    return {
-        (p.kind, p.movers, p.direction, p.frozen) for p in cache.candidates()
-    }
+def assert_plans_agree(cache, state, cfg=CFG):
+    """The cache's moves must equal the full scan's on ``state``."""
+    assert cache.plan() == plan_merges(state, cfg)[0]
 
 
-def fresh_set(state, cfg=CFG):
-    from repro.core.patterns import MergeCache
-
-    fresh = MergeCache(cfg)
-    fresh.rebuild(state)
-    return candidate_set(fresh)
+def translated(cells, offset):
+    dx, dy = offset
+    return [(x + dx, y + dy) for x, y in cells]
 
 
 # Gather inputs by the run structure of their lines: the one-robot-wide
@@ -276,19 +272,35 @@ TRAJECTORY_INPUTS = {
 over_inputs = pytest.mark.parametrize(
     "inputs", list(TRAJECTORY_INPUTS.values()), ids=list(TRAJECTORY_INPUTS)
 )
+#: The merge ablations: each drops or narrows one pattern family, so
+#: each mask path runs without the masks the others contribute.
+ABLATIONS = {
+    "no_corners": AlgorithmConfig(enable_corner_merges=False),
+    "no_bumps": AlgorithmConfig(enable_bump_merges=False),
+    "bump_len_1": AlgorithmConfig(max_bump_length=1),
+}
+#: Translations: masks are relative to an origin below the swarm, so
+#: negative and six-digit coordinates must give the same moves.
+OFFSETS = {"negative": (-1_000, -777), "six_digit": (123_456, 654_321)}
+
+
+def partial_activation():
+    from repro.engine.ssync_scheduler import ActivationSchedule, make_policy
+
+    return ActivationSchedule(make_policy("uniform", p=0.5, seed=1), 8)
 
 
 class TestMergeCacheRunGranular:
     """:class:`MergeCache` along gather trajectories: every round, the
-    cached candidate set must equal a fresh full enumeration."""
+    cached moves must equal the full scan's."""
 
-    def drive(self, cells, steps, schedule=None):
+    def drive(self, cells, steps, schedule=None, cfg=CFG):
         """Run the gathering controller (FSYNC, or under ``schedule``)
-        and check the cache against a full rebuild every round."""
+        and check the cache against the full scan every round."""
         from repro.core.algorithm import GatherOnGrid
         from repro.engine.scheduler import RoundEngine
 
-        ctrl = GatherOnGrid(CFG)
+        ctrl = GatherOnGrid(cfg)
         eng = RoundEngine(
             SwarmState(set(cells)), ctrl, schedule, check_connectivity=False
         )
@@ -302,8 +314,16 @@ class TestMergeCacheRunGranular:
             # before comparing
             assert pipeline._version == eng.state.version - 1
             pipeline._sync(eng.state)
-            cache = pipeline.merge_cache
-            assert candidate_set(cache) == fresh_set(eng.state)
+            assert_plans_agree(pipeline.merge_cache, eng.state, cfg)
+
+    def drive_inputs(self, inputs, offset=(0, 0), cfg=CFG):
+        """Each input under FSYNC and under SSYNC p = 0.5."""
+        from repro.swarms.generators import family
+
+        for fam, n in inputs:
+            cells = translated(family(fam, n), offset)
+            self.drive(cells, 80, cfg=cfg)
+            self.drive(cells, 80, partial_activation(), cfg=cfg)
 
     @over_inputs
     def test_trajectory_differential(self, inputs):
@@ -316,68 +336,108 @@ class TestMergeCacheRunGranular:
     def test_trajectory_differential_partial_activation(self, inputs):
         """SSYNC rounds apply only a subset of the planned moves, so the
         change sets differ from any FSYNC round's."""
-        from repro.engine.ssync_scheduler import (
-            ActivationSchedule,
-            make_policy,
-        )
         from repro.swarms.generators import family
 
         for fam, n in inputs:
-            schedule = ActivationSchedule(
-                make_policy("uniform", p=0.5, seed=1), 8
-            )
-            self.drive(family(fam, n), 80, schedule)
+            self.drive(family(fam, n), 80, partial_activation())
+
+    @over_inputs
+    @pytest.mark.parametrize(
+        "cfg", list(ABLATIONS.values()), ids=list(ABLATIONS)
+    )
+    def test_trajectory_differential_ablations(self, inputs, cfg):
+        self.drive_inputs(inputs, cfg=cfg)
+
+    @over_inputs
+    @pytest.mark.parametrize(
+        "offset", list(OFFSETS.values()), ids=list(OFFSETS)
+    )
+    def test_trajectory_differential_translated(self, inputs, offset):
+        self.drive_inputs(inputs, offset)
+
+
+#: Hand-built single moves, ``name -> (cells before, moves)``.
+HAND_BUILT = {
+    # vacating mid-run splits one run into two
+    "run_split": (
+        [(x, 0) for x in range(7)] + [(x, -1) for x in range(7)],
+        {(3, 0): (3, -1)},
+    ),
+    # filling the gap between two runs merges them
+    "run_merge": (
+        [(x, 0) for x in range(7) if x != 3]
+        + [(x, -1) for x in range(7)]
+        + [(3, 2), (3, 1)],
+        {(3, 1): (3, 0)},
+    ),
+    # the hovering robot lands on (0, 1): row 0's north side is no
+    # longer free, so its bump must flip or vanish
+    "free_side_flip": (
+        [(x, 0) for x in range(4)] + [(x, -1) for x in range(4)] + [(0, 2)],
+        {(0, 2): (0, 1)},
+    ),
+    # two-robot bump over a support; removing the support's neighbour
+    # changes bump membership and leaf eligibility nearby
+    "mover_cascade": (
+        [(0, 0), (1, 0), (0, -1), (2, -1), (2, 0), (3, 0)],
+        {(3, 0): (2, -1)},
+    ),
+    # a merge leaves two robots that are each other's only neighbour:
+    # each leaf freezes the other's target, so neither hops
+    "mutual_leaves_row": ([(0, 0), (1, 0), (2, 0)], {(2, 0): (1, 0)}),
+    "mutual_leaves_column": ([(0, 0), (0, 1), (0, 2)], {(0, 2): (0, 1)}),
+}
 
 
 class TestMergeCacheMatchesRebuild:
     """Line invalidation of :class:`MergeCache` on single hand-built
-    moves: the cached candidate set must equal a fresh full
-    enumeration."""
+    moves: the cached moves must equal the full scan's."""
 
-    def _updated(self, before, moves):
+    def _updated(self, before, moves, cfg=CFG):
         """Apply ``moves`` to ``before`` through the cache and return
         (cache, state)."""
         from repro.core.patterns import MergeCache
 
         state = SwarmState(set(before))
-        cache = MergeCache(CFG)
+        cache = MergeCache(cfg)
         cache.rebuild(state)
+        assert_plans_agree(cache, state, cfg)
         state.apply_moves(moves)
         cache.update(state, state.last_changed)
         return cache, state
 
+    def check(self, name, cfg=CFG):
+        cache, state = self._updated(*HAND_BUILT[name], cfg)
+        assert_plans_agree(cache, state, cfg)
+
     def test_run_split_across_dirty_cell(self):
         """Vacating mid-run splits one cached run into two."""
-        row = [(x, 0) for x in range(7)] + [(x, -1) for x in range(7)]
-        cache, state = self._updated(row, {(3, 0): (3, -1)})
-        assert candidate_set(cache) == fresh_set(state)
+        self.check("run_split")
 
     def test_run_merge_across_dirty_cell(self):
         """Filling the gap between two cached runs merges them."""
-        cells = [(x, 0) for x in range(7) if x != 3]
-        cells += [(x, -1) for x in range(7)]
-        cells += [(3, 2), (3, 1)]  # a robot that can drop into the gap
-        cache, state = self._updated(cells, {(3, 1): (3, 0)})
-        assert candidate_set(cache) == fresh_set(state)
+        self.check("run_merge")
 
     def test_free_side_flip_from_adjacent_row(self):
         """A change in row y+1 re-evaluates the run of row y whose span
         it covers, without touching the run structure of row y."""
-        cells = [(x, 0) for x in range(4)] + [(x, -1) for x in range(4)]
-        cells += [(0, 2)]
-        # the hovering robot lands on (0, 1): row 0's north side is no
-        # longer free, so its bump pattern must flip or vanish
-        cache, state = self._updated(cells, {(0, 2): (0, 1)})
-        assert candidate_set(cache) == fresh_set(state)
+        self.check("free_side_flip")
 
     def test_mover_status_cascade_releases_leaf(self):
         """When a bump dissolves, its former movers become eligible for
-        leaf/corner candidacy again (the mover-delta bookkeeping)."""
-        # two-robot bump over a support; removing the support's
-        # neighbour changes bump membership and leaf eligibility nearby
-        cells = [(0, 0), (1, 0), (0, -1), (2, -1), (2, 0), (3, 0)]
-        cache, state = self._updated(cells, {(3, 0): (2, -1)})
-        assert candidate_set(cache) == fresh_set(state)
+        leaf/corner candidacy again (the column movers are transposed
+        into the rows they sit in)."""
+        self.check("mover_cascade")
+
+    @pytest.mark.parametrize(
+        "cfg", [CFG, *ABLATIONS.values()], ids=["default", *ABLATIONS]
+    )
+    def test_hand_built_moves_under_ablations(self, cfg):
+        """Every hand-built move under every merge ablation: without
+        bumps, a horizontal neighbour pair is two leaves, and only the
+        row's own frozen mask keeps them from swapping."""
+        for name in HAND_BUILT:
+            self.check(name, cfg)
 
     def test_rebuild_resets_after_external_jump(self):
         """A version jump (two applies without update) falls back to a
@@ -388,4 +448,29 @@ class TestMergeCacheMatchesRebuild:
         state = SwarmState({(0, 0), (1, 0), (2, 0), (1, 1)})
         cache = MergeCache(CFG)
         cache.update(state, set())  # unprimed update primes via rebuild
-        assert candidate_set(cache) == fresh_set(state)
+        assert_plans_agree(cache, state)
+
+    def test_move_below_the_origin_rebuilds(self):
+        """A robot that keeps landing left of and below every occupied
+        cell reaches the cells below the mask origin; the move that
+        lands there retires the masks, and the cache rebuilds around
+        the new origin."""
+        from repro.core.patterns import MergeCache
+        from repro.grid.occupancy import MASK_MARGIN
+
+        cells = [(x, y) for x in range(4) for y in range(3)]
+        cells += [(0, -1), (-1, -1), (-1, -2)]
+        state = SwarmState(cells)
+        cache = MergeCache(CFG)
+        cache.rebuild(state)
+        masks = state.masks()
+        for step in range(MASK_MARGIN + 1):
+            x, y = min(state.cells, key=lambda c: (c[0] + c[1], c))
+            state.apply_moves({(x, y): (x - 1, y - 1)})
+            assert all(
+                c == (x - 1, y - 1) or (c[0] >= x and c[1] >= y)
+                for c in state.cells
+            )
+            cache.update(state, state.last_changed)
+            assert_plans_agree(cache, state)
+            assert (state.masks() is masks) == (step < MASK_MARGIN)

@@ -254,7 +254,7 @@ class TestTrajectoryEquivalence:
                 if rounds % k and not eng.state.is_gathered():
                     continue
                 ring_sets[k].update(
-                    eng.state.cells, pending[k], rows=eng.state.rows()
+                    eng.state.cells, pending[k], masks=eng.state.masks()
                 )
                 pending[k] = set()
                 assert_canonical(ring_sets[k], eng.state.cells)
