@@ -370,6 +370,12 @@ def _line_bumps(
     return to_neg, to_pos
 
 
+#: The masks of a row without candidates (see ``MergeCache._lines``).
+_NO_LINE = (0,) * 16
+#: The hop of each mover mask :meth:`MergeCache.plan` materializes.
+_HOPS = ((0, -1), (0, 1), (1, 0), (-1, 0), (1, -1), (-1, -1), (1, 1), (-1, 1))
+
+
 class MergeCache:
     """The merge moves of :func:`plan_merges`, kept between rounds.
 
@@ -566,6 +572,9 @@ class MergeCache:
                 cne, cnw, cse, csw,
             ) = lines[y]
             if ln | ls | le | lw | cne | cnw | cse | csw:
+                # Frozen here: the row above's "below" cells, the row
+                # below's "above" cells and the row's own; a leaf also
+                # stays when its target is a mover (field 0).
                 up = lines.get(y + 1, _NO_LINE)
                 down = lines.get(y - 1, _NO_LINE)
                 stay = ~(level | up[1] | down[2])
@@ -597,14 +606,6 @@ class MergeCache:
                     x = x0 + low.bit_length() - 1
                     moves[(x, y)] = (x + dx, y + dy)
         return moves
-
-
-#: The hop of each mover mask :meth:`MergeCache.plan` materializes.
-_HOPS = ((0, -1), (0, 1), (1, 0), (-1, 0), (1, -1), (-1, -1), (1, 1), (-1, 1))
-
-
-#: The masks of a row without candidates (see ``MergeCache._lines``).
-_NO_LINE = (0,) * 16
 
 
 # ----------------------------------------------------------------------
