@@ -314,7 +314,7 @@ def _status_of(cells: Set[Cell]) -> str:
     disconnected yet bbox-gathered); the loop reports such runs as
     ``gathered``, so the explorer must too or witnesses would not
     replay.  The test runs on the raw cells: a node builds no
-    :class:`~repro.grid.occupancy.SwarmState` row index for it."""
+    :class:`~repro.grid.occupancy.SwarmState` line masks for it."""
     min_x, min_y, max_x, max_y = bounding_box(cells)
     if max_x - min_x < GATHER_SQUARE and max_y - min_y < GATHER_SQUARE:
         return "gathered"
